@@ -21,6 +21,7 @@ from .experiments import (
     coverage_experiment,
     projection_bias_experiment,
     run_sampling,
+    summarize,
     summary_rows,
     validate_suite,
 )
@@ -144,12 +145,12 @@ def cmd_marma(args) -> int:
             num_samples=args.num,
             seed=args.seed + 1,
         )
-        result = run_prediction(task)
+        table = summarize(run_prediction(task).Y, (0.5, 0.95))
         doc = {
             "observed": x_obs,
             "true_future": y_true,
-            "future_median": np.median(result.Y, axis=0),
-            "future_q95": np.quantile(result.Y, 0.95, axis=0, method="inverted_cdf"),
+            "future_median": table.medians,
+            "future_q95": table.quantiles[0.95],
         }
     _emit_json(doc, args.out)
     return 0

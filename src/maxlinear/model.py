@@ -49,6 +49,28 @@ class MaxLinearModel:
         return self.A.shape[1]
 
 
+def check_coefficients(M, name: str) -> np.ndarray:
+    """Return ``M`` as a 2-d float array after checking that every entry
+    is finite and nonnegative.
+
+    Raises
+    ------
+    DimensionMismatchError
+        if ``M`` is not 2-d.
+    NegativeEntryError
+        if any entry is negative or non-finite.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be 2-d, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise NegativeEntryError(f"{name} contains non-finite entries")
+    if np.any(M < 0):
+        i, j = np.argwhere(M < 0)[0]
+        raise NegativeEntryError(f"{name}[{i},{j}] = {M[i, j]} is negative")
+    return M
+
+
 def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
     """Check structural assumptions and return an immutable model.
 
@@ -61,14 +83,7 @@ def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
     MarginCountMismatchError
         if ``margins`` does not have one entry per column.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise DimensionMismatchError(f"A must be 2-d, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise NegativeEntryError("A contains non-finite entries")
-    if np.any(A < 0):
-        i, j = np.argwhere(A < 0)[0]
-        raise NegativeEntryError(f"A[{i},{j}] = {A[i, j]} is negative")
+    A = check_coefficients(A, "A")
     pos = A > 0
     bad_rows = np.flatnonzero(~pos.any(axis=1))
     if bad_rows.size:
@@ -109,11 +124,33 @@ def max_linear_apply(A, z) -> np.ndarray:
     return (A * z).max(axis=1)
 
 
-def max_linear_apply_batch(A, Z) -> np.ndarray:
+def live_entries(A, upper, floor) -> np.ndarray:
+    """Boolean mask of the entries a_ij with a_ij * upper_j > floor_i.
+
+    ``upper`` bounds the factors (``inf`` for an unbounded one) and
+    ``floor`` the rows of A (max-times) Z, as in
+    :func:`max_linear_apply_batch`. An entry outside the mask has a
+    product of at most floor_i in every sample, so it cannot decide its
+    row. With floor >= 0, zero entries are never live.
+    """
+    A = np.asarray(A, dtype=float)
+    with np.errstate(invalid="ignore"):  # 0 * inf is nan, and nan > floor is False
+        return A * np.asarray(upper, dtype=float) > np.asarray(floor, dtype=float)[:, None]
+
+
+def max_linear_apply_batch(A, Z, upper=None, floor=None) -> np.ndarray:
     """Apply ``A`` to each row of the sample matrix ``Z`` (num x p).
 
     Returns a (num x n) matrix. Iterates over the rows of ``A`` so the
     temporaries stay at num x p.
+
+    Callers that know bounds pass both ``upper``, with Z[:, j] <= upper[j]
+    for every sample (``inf`` where unbounded), and ``floor``, with every
+    result row i at least floor[i]. Then only the entries in
+    :func:`live_entries` are multiplied, and row i is the larger of
+    floor[i] and their maximum. Products are monotone in IEEE arithmetic,
+    so every skipped product is at most floor[i] and the result is
+    exactly the full map's.
     """
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -122,8 +159,30 @@ def max_linear_apply_batch(A, Z) -> np.ndarray:
             f"incompatible shapes A{A.shape} and Z{Z.shape}"
         )
     out = np.empty((Z.shape[0], A.shape[0]))
+    if upper is None and floor is None:
+        for i in range(A.shape[0]):
+            np.max(Z * A[i], axis=1, out=out[:, i])
+        return out
+    if upper is None or floor is None:
+        raise ValueError("upper and floor must be given together")
+    upper = np.asarray(upper, dtype=float)
+    floor = np.asarray(floor, dtype=float)
+    if upper.shape != (A.shape[1],) or floor.shape != (A.shape[0],):
+        raise DimensionMismatchError(
+            f"bounds upper{upper.shape} and floor{floor.shape} do not fit A{A.shape}"
+        )
+    live = live_entries(A, upper, floor)
+    # gathering rows of Z.T makes each maximum run over contiguous samples
+    Zt = Z.T
     for i in range(A.shape[0]):
-        np.max(Z * A[i], axis=1, out=out[:, i])
+        cols = np.flatnonzero(live[i])
+        if cols.size:
+            terms = Zt[cols]
+            terms *= A[i, cols][:, None]
+            np.max(terms, axis=0, out=out[:, i])
+            np.maximum(out[:, i], floor[i], out=out[:, i])
+        else:
+            out[:, i] = floor[i]
     return out
 
 

@@ -23,6 +23,7 @@ from .hitting import DEFAULT_REL_TOL
 from .margins import MarginSpec
 from .model import (
     MaxLinearModel,
+    check_coefficients,
     max_linear_apply,
     max_linear_apply_batch,
     validate_model,
@@ -268,10 +269,28 @@ class PredictionResult:
     free_columns: np.ndarray
 
 
+def row_floors(law: ConditionalLaw, B) -> np.ndarray:
+    """Per-row floor of B (max-times) Z over every draw from ``law``.
+
+    ``B`` has one column per conditioned factor. Each class s puts some
+    j in J[s] exactly at zhat_j in every draw, so row k of the prediction
+    is at least L_k = max_s min_{j in J[s]} b_kj * zhat_j.
+    """
+    J = law.structure.J
+    cols = np.concatenate(J)
+    starts = np.cumsum([0] + [js.size for js in J[:-1]])
+    reach = B[:, cols] * law.z_hat[cols]
+    return np.minimum.reduceat(reach, starts, axis=1).max(axis=1)
+
+
 def run_prediction(task: PredictionTask) -> PredictionResult:
-    """Draw conditional samples of all factors and map them through B."""
+    """Draw conditional samples of all factors and map them through B.
+
+    The map skips the entries of ``B`` that cannot decide their row
+    (see :func:`row_floors`); ``Y`` equals ``B (max-times) Z`` exactly.
+    """
     A = np.asarray(task.A, dtype=float)
-    B = np.asarray(task.B, dtype=float)
+    B = check_coefficients(task.B, "B")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(
             f"A and B must share the column space: {A.shape} vs {B.shape}"
@@ -280,20 +299,26 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
         raise DimensionMismatchError(
             f"expected {A.shape[1]} margins, got {len(task.margins)}"
         )
-    cond = np.flatnonzero((A > 0).any(axis=0))
-    free = np.flatnonzero(~(A > 0).any(axis=0))
+    observed = (A > 0).any(axis=0)
+    cond = np.flatnonzero(observed)
+    free = np.flatnonzero(~observed)
     sub_model = validate_model(A[:, cond], [task.margins[j] for j in cond])
     law = conditional_law(sub_model, task.x, task.rel_tol)
     num = int(task.num_samples)
-    Z = np.empty((num, A.shape[1]))
     Zc, _ = draw_conditional_batch(law, num, RngStream(task.seed, 0))
-    Z[:, cond] = Zc
     if free.size:
+        Z = np.empty((num, A.shape[1]))
+        Z[:, cond] = Zc
         gen = RngStream(task.seed, 1).generator()
         U = gen.random((num, free.size))
         for k, j in enumerate(free):
             Z[:, j] = np.asarray(task.margins[j].quantile(U[:, k]))
-    Y = max_linear_apply_batch(B, Z)
+    else:
+        Z = Zc
+    # free factors are unbounded
+    upper = np.full(A.shape[1], np.inf)
+    upper[cond] = law.z_hat
+    Y = max_linear_apply_batch(B, Z, upper=upper, floor=row_floors(law, B[:, cond]))
     return PredictionResult(
         Z=Z, Y=Y, law=law, conditioned_columns=cond, free_columns=free
     )

@@ -3,7 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from maxlinear import MarmaSpec, SmithSpec, save_marma_spec, save_model, save_smith_spec
+from maxlinear import (
+    MarmaSpec,
+    PredictionTask,
+    RngStream,
+    SmithSpec,
+    marma_coefficients,
+    marma_design,
+    run_prediction,
+    save_marma_spec,
+    save_model,
+    save_smith_spec,
+    simulate_marma_window,
+    standard_frechet,
+)
 from maxlinear.cli import main
 from maxlinear.experiments import ones_lower_triangular_model
 
@@ -81,12 +94,27 @@ def test_marma_quality_command(tmp_path, capsys):
 
 
 def test_marma_predict_command(tmp_path, capsys):
+    spec = MarmaSpec(phi=(0.5,), p=50, n_observed=15, N_horizon=4)
     spec_path = tmp_path / "spec.json"
-    save_marma_spec(MarmaSpec(phi=(0.5,), p=50, n_observed=15, N_horizon=4), spec_path)
+    save_marma_spec(spec, spec_path)
     assert main(["marma", "--spec", str(spec_path), "--num", "60", "--seed", "7"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["future_median"]) == 4
     assert all(v > 0 for v in doc["future_median"])
+    # the same run as the command (window from stream (7, 0), draws from
+    # seed 8): medians and 0.95 quantiles are type-1 order statistics of Y
+    psi = marma_coefficients(spec.phi, spec.theta, spec.p)
+    A, B = marma_design(psi, spec.n_observed, spec.N_horizon)
+    _, x_obs, _ = simulate_marma_window(
+        psi, spec.n_observed, spec.N_horizon, RngStream(7, 0).generator()
+    )
+    Y = run_prediction(PredictionTask(
+        A=A, B=B, margins=(standard_frechet(1.0),) * A.shape[1], x=x_obs,
+        num_samples=60, seed=8,
+    )).Y
+    srt = np.sort(Y, axis=0)
+    assert doc["future_median"] == srt[29].tolist()  # ceil(0.5 * 60) - 1
+    assert doc["future_q95"] == srt[56].tolist()  # ceil(0.95 * 60) - 1
 
 
 def test_smith_command(tmp_path, capsys):

@@ -61,6 +61,10 @@ def test_apply_shape_errors():
         max_linear_apply(TRIL3, np.ones(4))
     with pytest.raises(DimensionMismatchError):
         max_linear_apply_batch(TRIL3, np.ones((5, 4)))
+    with pytest.raises(DimensionMismatchError):
+        max_linear_apply_batch(TRIL3, np.ones((5, 3)), upper=np.ones(2), floor=np.zeros(3))
+    with pytest.raises(ValueError):
+        max_linear_apply_batch(TRIL3, np.ones((5, 3)), upper=np.ones(3))
 
 
 def test_batch_matches_single():
@@ -70,6 +74,9 @@ def test_batch_matches_single():
     batch = max_linear_apply_batch(A, Z)
     for k in range(20):
         assert np.allclose(batch[k], max_linear_apply(A, Z[k]))
+    # bounds that hold for every sample leave the result unchanged
+    pruned = max_linear_apply_batch(A, Z, upper=Z.max(axis=0), floor=batch.min(axis=0))
+    assert np.array_equal(pruned, batch)
 
 
 @given(

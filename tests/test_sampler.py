@@ -1,25 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from maxlinear import (
     AcceptanceTooRareError,
     DimensionMismatchError,
+    NegativeEntryError,
     RngStream,
+    SmithSpec,
     ZeroMassBelowBoundError,
     conditional_law,
     draw_conditional,
     draw_conditional_batch,
     max_linear_apply,
+    max_linear_apply_batch,
     predict,
     rejection_oracle,
     run_prediction,
+    smith_design,
     standard_frechet,
     truncated_draw,
     validate_model,
 )
 from maxlinear.experiments import ones_lower_triangular_model, random_consistent_instance
-from maxlinear.sampler import PredictionTask, _truncated_matrix
+from maxlinear.model import live_entries
+from maxlinear.sampler import PredictionTask, _truncated_matrix, row_floors
+
+SITES7 = (
+    (0.3, 0.4),
+    (-1.2, 0.9),
+    (1.5, -0.7),
+    (-0.4, -1.3),
+    (0.9, 1.6),
+    (-1.7, -0.2),
+    (0.1, -0.6),
+)
 
 
 def test_rng_stream_reproducible_and_split():
@@ -233,3 +250,67 @@ def test_run_prediction_shape_errors():
             A=np.ones((1, 2)), B=np.ones((1, 2)), margins=margins[:1],
             x=np.array([1.0]), num_samples=1, seed=0,
         ))
+    with pytest.raises(DimensionMismatchError):
+        run_prediction(PredictionTask(
+            A=np.ones((1, 2)), B=np.ones(2), margins=margins,
+            x=np.array([1.0]), num_samples=1, seed=0,
+        ))
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+def test_run_prediction_rejects_bad_B_entries(bad):
+    B = np.ones((2, 2))
+    B[1, 0] = bad
+    with pytest.raises(NegativeEntryError):
+        run_prediction(PredictionTask(
+            A=np.ones((1, 2)), B=B, margins=(standard_frechet(1.0),) * 2,
+            x=np.array([1.0]), num_samples=1, seed=0,
+        ))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    p_cond=st.integers(1, 6),
+    p_free=st.integers(0, 3),
+    m=st.integers(1, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_pruned_prediction_map_is_exact(seed, n, p_cond, p_free, m):
+    # Power-of-two coefficients keep the products exact: a B row that is
+    # a multiple of an A row ties every candidate atom of a class at the
+    # row floor. Free columns sit at random positions, some B entries are
+    # arbitrary reals and some B rows are all zero.
+    gen = np.random.default_rng(seed)
+    levels = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
+    Ac = gen.choice(levels, size=(n, p_cond))
+    for i in np.flatnonzero(~(Ac > 0).any(axis=1)):
+        Ac[i, gen.integers(p_cond)] = 1.0
+    for j in np.flatnonzero(~(Ac > 0).any(axis=0)):
+        Ac[gen.integers(n), j] = 1.0
+    x = (Ac / -np.log(gen.random(p_cond))).max(axis=1)
+    p = p_cond + p_free
+    A = np.zeros((n, p))
+    A[:, gen.permutation(p)[:p_cond]] = Ac
+    B = gen.choice(levels, size=(m, p))
+    reals = gen.random((m, p)) < 0.2
+    B[reals] = 3.0 * gen.random(int(reals.sum()))
+    copies = gen.random(m) < 0.3
+    B[copies] = A[gen.integers(n, size=int(copies.sum()))] * 2.0 ** gen.integers(-2, 3)
+    B[gen.random(m) < 0.2] = 0.0
+    result = run_prediction(PredictionTask(
+        A=A, B=B, margins=(standard_frechet(1.0),) * p, x=x,
+        num_samples=40, seed=seed,
+    ))
+    assert np.array_equal(result.Y, max_linear_apply_batch(B, result.Z))
+
+
+def test_live_entries_smith_sites7_at_five():
+    # the benchmark's structure counts pin the same 2,746 of 22,500
+    spec = SmithSpec(q=25, sites=SITES7, grid=((0.0, 0.0), (2.0, 2.0)) + SITES7)
+    design = smith_design(spec)
+    model = validate_model(design.A, [standard_frechet(1.0)] * design.A.shape[1])
+    law = conditional_law(model, np.full(7, 5.0))
+    live = live_entries(design.B, law.z_hat, row_floors(law, design.B))
+    assert int((design.B > 0).sum()) == 22_500
+    assert int(live.sum()) == 2_746
