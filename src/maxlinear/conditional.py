@@ -23,34 +23,40 @@ from scipy.special import logsumexp
 
 from .errors import (
     EmptyScenarioListError,
-    MixedMarginKindsError,
     NumericalUnderflowError,
     TooLargeForBruteForceError,
 )
 from .hitting import DEFAULT_REL_TOL, HittingStructure, hitting_structure
-from .margins import Frechet, MarginSpec
+from .margins import MarginSpec, _columnwise
 from .model import MaxLinearModel
 
 BRUTE_FORCE_COLUMN_CAP = 20
 
 
-def _margin_log_tables(
-    margins: Sequence[MarginSpec], z_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors of log f_j(zhat_j) and log F_j(zhat_j) for all columns.
+def _joined(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays ``sets`` end to end, and where each one starts."""
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    starts = np.zeros(len(sets), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return np.concatenate(sets), starts
 
-    Homogeneous margins (the common case) are evaluated in one
-    vectorized call; otherwise falls back to a per-column loop.
-    """
-    first = margins[0]
-    if all(m is first or m == first for m in margins):
-        return (
-            np.asarray(first.log_pdf(z_hat), dtype=float),
-            np.asarray(first.log_cdf(z_hat), dtype=float),
-        )
-    log_pdf = np.array([m.log_pdf(z) for m, z in zip(margins, z_hat)])
-    log_cdf = np.array([m.log_cdf(z) for m, z in zip(margins, z_hat)])
-    return log_pdf, log_cdf
+
+def _joined_log_weights(
+    structure: HittingStructure, margins: Sequence[MarginSpec]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The log weights of :func:`class_log_weights`, joined end to end in
+    the order of ``structure.J``, and where each class starts."""
+    z_hat = structure.z_hat
+    log_pdf = _columnwise(margins, "log_pdf", z_hat)
+    log_cdf = _columnwise(margins, "log_cdf", z_hat)
+    cols, starts = _joined(structure.J)
+    bar, bar_starts = _joined(structure.J_bar)
+    cdf_sum = np.repeat(
+        np.add.reduceat(log_cdf[bar], bar_starts), np.diff(starts, append=cols.size)
+    )
+    with np.errstate(divide="ignore"):
+        log_z = np.log(z_hat[cols])
+    return log_z + log_pdf[cols] + cdf_sum - log_cdf[cols], starts
 
 
 def class_log_weights(
@@ -62,17 +68,8 @@ def class_log_weights(
         log w_j = log zhat_j + log f_j(zhat_j)
                   + sum over k in J_bar[s], k != j, of log F_k(zhat_k).
     """
-    z_hat = structure.z_hat
-    log_pdf, log_cdf = _margin_log_tables(margins, z_hat)
-    with np.errstate(divide="ignore"):
-        log_z = np.log(z_hat)
-    out = []
-    for s in range(structure.rank):
-        jbar = structure.J_bar[s]
-        js = structure.J[s]
-        cdf_sum = log_cdf[jbar].sum()
-        out.append(log_z[js] + log_pdf[js] + cdf_sum - log_cdf[js])
-    return out
+    log_w, starts = _joined_log_weights(structure, margins)
+    return np.split(log_w, starts[1:])
 
 
 def _normalize(log_w: np.ndarray, what: str) -> np.ndarray:
@@ -85,25 +82,22 @@ def _normalize(log_w: np.ndarray, what: str) -> np.ndarray:
 def class_weights(
     structure: HittingStructure, margins: Sequence[MarginSpec]
 ) -> list[np.ndarray]:
-    """Normalized mixture weights for each class (sum to one per class)."""
-    return [
-        _normalize(lw, f"class {s}") for s, lw in enumerate(class_log_weights(structure, margins))
-    ]
+    """Normalized mixture weights for each class (sum to one per class).
 
-
-def frechet_class_weights(
-    structure: HittingStructure, alphas, scales
-) -> list[np.ndarray]:
-    """Frechet shortcut: within a class the exponential factors cancel,
-    leaving weights proportional to alpha_j * scale_j^alpha_j * zhat_j^(-alpha_j).
-
-    Must agree with :func:`class_weights` after normalization; kept as a
-    cheap cross-check and fast path for all-Frechet models.
+    Every class is normalized at once, by segment reductions over the
+    joined log weights.
     """
-    alphas = np.broadcast_to(np.asarray(alphas, dtype=float), structure.z_hat.shape)
-    scales = np.broadcast_to(np.asarray(scales, dtype=float), structure.z_hat.shape)
-    log_w = np.log(alphas) + alphas * np.log(scales) - alphas * np.log(structure.z_hat)
-    return [_normalize(log_w[js], f"class {s}") for s, js in enumerate(structure.J)]
+    log_w, starts = _joined_log_weights(structure, margins)
+    top = np.maximum.reduceat(log_w, starts)
+    vanished = np.flatnonzero(~np.isfinite(top))
+    if vanished.size:
+        raise NumericalUnderflowError(
+            f"all weights of class {vanished[0]} vanish in log space"
+        )
+    sizes = np.diff(starts, append=log_w.size)
+    w = np.exp(log_w - np.repeat(top, sizes))
+    w /= np.repeat(np.add.reduceat(w, starts), sizes)
+    return np.split(w, starts[1:])
 
 
 @dataclass(frozen=True)
@@ -128,12 +122,7 @@ def conditional_law(
 ) -> ConditionalLaw:
     """Build the factorized conditional law for observed X = x."""
     structure = hitting_structure(model, x, rel_tol)
-    if all(isinstance(m, Frechet) for m in model.margins):
-        alphas = np.array([m.alpha for m in model.margins])
-        scales = np.array([m.scale for m in model.margins])
-        weights = frechet_class_weights(structure, alphas, scales)
-    else:
-        weights = class_weights(structure, model.margins)
+    weights = class_weights(structure, model.margins)
     return ConditionalLaw(
         structure=structure, margins=model.margins, weights=tuple(weights)
     )
@@ -208,7 +197,8 @@ def scenario_log_weights(
               + sum_j log F_j(zhat_j).
     """
     z_hat = np.asarray(z_hat, dtype=float)
-    log_pdf, log_cdf = _margin_log_tables(margins, z_hat)
+    log_pdf = _columnwise(margins, "log_pdf", z_hat)
+    log_cdf = _columnwise(margins, "log_cdf", z_hat)
     base = log_cdf.sum()
     log_z = np.log(z_hat)
     per_col = log_z + log_pdf - log_cdf
@@ -234,15 +224,4 @@ def scenario_probabilities(
         probabilities=probs,
         z_hat=z_hat,
         margins=tuple(margins),
-    )
-
-
-def require_frechet(margins: Sequence[MarginSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """Return (alphas, scales) or raise if margins are not all Frechet."""
-    if not all(isinstance(m, Frechet) for m in margins):
-        kinds = sorted({m.kind for m in margins})
-        raise MixedMarginKindsError(f"expected all-Frechet margins, got kinds {kinds}")
-    return (
-        np.array([m.alpha for m in margins]),
-        np.array([m.scale for m in margins]),
     )

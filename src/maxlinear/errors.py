@@ -53,10 +53,6 @@ class NumericalUnderflowError(MaxLinearError):
     """All weights of a class underflowed to zero even in log space."""
 
 
-class MixedMarginKindsError(MaxLinearError):
-    """Operation requires all margins to be of the same kind."""
-
-
 class TooLargeForBruteForceError(MaxLinearError):
     """Instance exceeds the exhaustive-enumeration cap."""
 
@@ -68,7 +64,8 @@ class EmptyScenarioListError(MaxLinearError):
 # --- sampling -----------------------------------------------------------
 
 class ZeroMassBelowBoundError(MaxLinearError):
-    """CDF mass below the truncation bound underflows to zero."""
+    """No value could be drawn below a truncation bound: the CDF mass
+    below it underflows to zero, or every redraw landed on the bound."""
 
 
 class AcceptanceTooRareError(MaxLinearError):

@@ -9,6 +9,7 @@ so the general weight formulas can be exercised beyond the Frechet case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -169,6 +170,31 @@ class TabulatedContinuous(MarginSpec):
 
     def __hash__(self):
         return hash((self.grid.tobytes(), self.density.tobytes()))
+
+
+def _columnwise(margins: Sequence[MarginSpec], method: str, values) -> np.ndarray:
+    """``margins[j].<method>`` applied to ``values[..., j]`` for every j,
+    with one vectorized call per group of equal margins.
+
+    Columns are grouped by object identity first, which needs no hashing
+    of the margins; distinct but equal objects (one per column, as
+    ``load_model`` builds them) then join one group.
+    """
+    values = np.asarray(values, dtype=float)
+    margins = tuple(margins)
+    first = margins[0]
+    if margins.count(first) == len(margins):
+        return np.asarray(getattr(first, method)(values), dtype=float)
+    by_object: dict[int, list[int]] = {}
+    for j, m in enumerate(margins):
+        by_object.setdefault(id(m), []).append(j)
+    groups: dict[MarginSpec, list[int]] = {}
+    for cols in by_object.values():
+        groups.setdefault(margins[cols[0]], []).extend(cols)
+    out = np.empty(values.shape)
+    for margin, cols in groups.items():
+        out[..., cols] = getattr(margin, method)(values[..., cols])
+    return out
 
 
 def margin_from_dict(doc: dict) -> MarginSpec:

@@ -76,6 +76,8 @@ def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
 
     Raises
     ------
+    DimensionMismatchError
+        if ``A`` is not 2-d or has no rows or no columns.
     NegativeEntryError
         if any entry is negative or non-finite.
     ZeroRowError, ZeroColumnError
@@ -84,6 +86,8 @@ def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
         if ``margins`` does not have one entry per column.
     """
     A = check_coefficients(A, "A")
+    if A.size == 0:
+        raise DimensionMismatchError(f"A has no rows or no columns: shape {A.shape}")
     pos = A > 0
     bad_rows = np.flatnonzero(~pos.any(axis=1))
     if bad_rows.size:

@@ -2,8 +2,10 @@
 
 Per draw, each class independently picks the column forced to its upper
 bound (inverse-CDF on the normalized class weights, one uniform per
-class) and resamples the remaining class columns from their truncated
-margins. Every draw reproduces the observations exactly.
+class) and every other column is drawn from its margin truncated below
+its bound. A batch does this for all classes at once, with one matrix
+of atom picks and one matrix of truncated values. Every draw reproduces
+the observations exactly.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditional import ConditionalLaw, conditional_law
+from .conditional import ConditionalLaw, _joined, conditional_law
 from .errors import (
     AcceptanceTooRareError,
     DimensionMismatchError,
     ZeroMassBelowBoundError,
 )
 from .hitting import DEFAULT_REL_TOL
-from .margins import MarginSpec
+from .margins import MarginSpec, _columnwise
 from .model import (
     MaxLinearModel,
     check_coefficients,
@@ -29,6 +31,10 @@ from .model import (
     validate_model,
     validate_observations,
 )
+
+# redraw rounds for truncated values that land on 0 or on their bound;
+# each round hits a value with probability of order 2**-52
+REDRAW_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -59,62 +65,44 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def truncated_draw(margin: MarginSpec, bound: float, rng) -> float:
-    """One draw from the margin conditioned on being strictly below ``bound``.
-
-    Inverse-CDF applied to U * F(bound); the measure-zero boundary and
-    origin hits possible in floating point are resampled.
-    """
-    if not bound > 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    gen = _as_generator(rng)
-    f_bound = float(margin.cdf(bound))
-    if f_bound <= 0.0:
-        raise ZeroMassBelowBoundError(
-            f"CDF mass below bound {bound} underflows to zero"
-        )
-    while True:
-        value = float(margin.quantile(gen.random() * f_bound))
-        if 0.0 < value < bound:
-            return value
-
-
 def _truncated_matrix(
     margins: Sequence[MarginSpec],
-    cols: np.ndarray,
     bounds: np.ndarray,
     gen: np.random.Generator,
     num: int,
 ) -> np.ndarray:
-    """(num, len(cols)) truncated draws for the given columns."""
-    first = margins[cols[0]]
-    homogeneous = all(margins[j] is first or margins[j] == first for j in cols)
-    if homogeneous:
-        f_bounds = np.asarray(first.cdf(bounds), dtype=float)
-        if np.any(f_bounds <= 0.0):
-            raise ZeroMassBelowBoundError("CDF mass below a bound underflows to zero")
-        values = np.asarray(first.quantile(gen.random((num, cols.size)) * f_bounds))
-        bad = (values <= 0.0) | (values >= bounds)
-        while bad.any():
-            redraw = gen.random(int(bad.sum())) * np.broadcast_to(f_bounds, bad.shape)[bad]
-            values[bad] = first.quantile(redraw)
-            bad = (values <= 0.0) | (values >= bounds)
-        return values
-    out = np.empty((num, cols.size))
-    for k, j in enumerate(cols):
-        margin = margins[j]
-        f_bound = float(margin.cdf(bounds[k]))
-        if f_bound <= 0.0:
+    """(num, len(bounds)) draws; column j follows margins[j] conditioned
+    on lying strictly inside (0, bounds[j]).
+
+    Inverse CDF applied to U * F_j(bounds[j]). A value that floating
+    point puts on 0 or on the bound (or NaN) is redrawn, for at most
+    ``REDRAW_ROUNDS`` rounds.
+
+    Raises
+    ------
+    ZeroMassBelowBoundError
+        if the CDF below a bound underflows to zero, or if some value is
+        still outside (0, bound) after the last round.
+    """
+    f_bounds = _columnwise(margins, "cdf", bounds)
+    empty = np.flatnonzero(f_bounds <= 0.0)
+    if empty.size:
+        raise ZeroMassBelowBoundError(
+            f"CDF mass below bound {bounds[empty[0]]} of column {empty[0]} "
+            "underflows to zero"
+        )
+    values = _columnwise(margins, "quantile", gen.random((num, bounds.size)) * f_bounds)
+    for redraws in range(REDRAW_ROUNDS + 1):
+        rows, cols = np.nonzero(~((values > 0.0) & (values < bounds)))
+        if not cols.size:
+            return values
+        if redraws == REDRAW_ROUNDS:
             raise ZeroMassBelowBoundError(
-                f"CDF mass below bound of column {j} underflows to zero"
+                f"no draw of column {cols[0]} fell strictly inside "
+                f"(0, {bounds[cols[0]]}) in {REDRAW_ROUNDS} redraw rounds"
             )
-        vals = np.asarray(margin.quantile(gen.random(num) * f_bound))
-        bad = (vals <= 0.0) | (vals >= bounds[k])
-        while bad.any():
-            vals[bad] = margin.quantile(gen.random(int(bad.sum())) * f_bound)
-            bad = (vals <= 0.0) | (vals >= bounds[k])
-        out[:, k] = vals
-    return out
+        u = gen.random(cols.size) * f_bounds[cols]
+        values[rows, cols] = _columnwise([margins[j] for j in cols], "quantile", u)
 
 
 @dataclass(frozen=True)
@@ -126,22 +114,9 @@ class ConditionalSample:
 
 
 def draw_conditional(law: ConditionalLaw, rng) -> ConditionalSample:
-    """Draw one exact sample from the conditional law."""
-    gen = _as_generator(rng)
-    structure = law.structure
-    z_hat = law.z_hat
-    z = np.empty(z_hat.size)
-    chosen = np.empty(structure.rank, dtype=np.intp)
-    for s in range(structure.rank):
-        js = structure.J[s]
-        cum = np.cumsum(law.weights[s])
-        j_star = int(js[min(np.searchsorted(cum, gen.random(), side="right"), js.size - 1)])
-        chosen[s] = j_star
-        rest = structure.J_bar[s][structure.J_bar[s] != j_star]
-        if rest.size:
-            z[rest] = _truncated_matrix(law.margins, rest, z_hat[rest], gen, 1)[0]
-        z[j_star] = z_hat[j_star]
-    return ConditionalSample(z=z, chosen=chosen)
+    """Draw one exact sample from the conditional law (a batch of one)."""
+    Z, chosen = draw_conditional_batch(law, 1, rng)
+    return ConditionalSample(z=Z[0], chosen=chosen[0])
 
 
 def draw_conditional_batch(
@@ -149,28 +124,24 @@ def draw_conditional_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``num`` independent samples at once.
 
-    Vectorizes class by class with a single stream, so it is much faster
-    than repeated :func:`draw_conditional` but follows a different (still
-    deterministic, seed-reproducible) draw order.
+    The classes are independent and their J_bar sets partition the
+    columns, so a batch takes two uniform matrices. The first picks the
+    atom of every class in every draw, by one search over the per-class
+    cumulative weights joined end to end: class s spans (s, s + 1], its
+    uniform is shifted by s, and the pick is clamped into the class
+    against rounding. The second draws every column below its bound;
+    the picked atoms then overwrite their columns with zhat.
 
     Returns (Z, chosen) with shapes (num, p) and (num, rank).
     """
     gen = _as_generator(rng)
-    structure = law.structure
-    z_hat = law.z_hat
-    Z = np.empty((num, z_hat.size))
-    chosen = np.empty((num, structure.rank), dtype=np.intp)
-    for s in range(structure.rank):
-        js = structure.J[s]
-        jbar = structure.J_bar[s]
-        cum = np.cumsum(law.weights[s])
-        picks = np.minimum(
-            np.searchsorted(cum, gen.random(num), side="right"), js.size - 1
-        )
-        j_star = js[picks]
-        chosen[:, s] = j_star
-        Z[:, jbar] = _truncated_matrix(law.margins, jbar, z_hat[jbar], gen, num)
-        Z[np.arange(num), j_star] = z_hat[j_star]
+    cols, starts = _joined(law.structure.J)
+    last = np.append(starts[1:], cols.size) - 1
+    cum = np.cumsum(np.concatenate(law.weights))
+    u = gen.random((num, law.rank)) + np.arange(law.rank)
+    chosen = cols[np.clip(np.searchsorted(cum, u, side="right"), starts, last)]
+    Z = _truncated_matrix(law.margins, law.z_hat, gen, num)
+    Z[np.arange(num)[:, None], chosen] = law.z_hat[chosen]
     return Z, chosen
 
 
@@ -276,9 +247,7 @@ def row_floors(law: ConditionalLaw, B) -> np.ndarray:
     j in J[s] exactly at zhat_j in every draw, so row k of the prediction
     is at least L_k = max_s min_{j in J[s]} b_kj * zhat_j.
     """
-    J = law.structure.J
-    cols = np.concatenate(J)
-    starts = np.cumsum([0] + [js.size for js in J[:-1]])
+    cols, starts = _joined(law.structure.J)
     reach = B[:, cols] * law.z_hat[cols]
     return np.minimum.reduceat(reach, starts, axis=1).max(axis=1)
 
@@ -309,10 +278,8 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     if free.size:
         Z = np.empty((num, A.shape[1]))
         Z[:, cond] = Zc
-        gen = RngStream(task.seed, 1).generator()
-        U = gen.random((num, free.size))
-        for k, j in enumerate(free):
-            Z[:, j] = np.asarray(task.margins[j].quantile(U[:, k]))
+        U = RngStream(task.seed, 1).generator().random((num, free.size))
+        Z[:, free] = _columnwise([task.margins[j] for j in free], "quantile", U)
     else:
         Z = Zc
     # free factors are unbounded

@@ -9,17 +9,13 @@ from scipy.special import logsumexp
 from maxlinear import (
     EmptyScenarioListError,
     Frechet,
-    MixedMarginKindsError,
-    TabulatedContinuous,
     TooLargeForBruteForceError,
     class_weights,
     conditional_law,
     decompose,
     enumerate_relevant_scenarios,
-    frechet_class_weights,
     hitting_structure,
     max_linear_apply,
-    require_frechet,
     scenario_log_weights,
     scenario_probabilities,
     standard_frechet,
@@ -57,32 +53,41 @@ def _two_candidate_structure(z_hat):
     return decompose(np.array([[1, 1]], dtype=bool), np.asarray(z_hat, dtype=float))
 
 
+def frechet_weights(structure, alphas, scales):
+    """Closed-form class weights for Frechet margins, the oracle for the
+    general log-space path: within a class the exponential factors
+    cancel, leaving w_j proportional to alpha_j scale_j^alpha_j zhat_j^-alpha_j."""
+    alphas = np.broadcast_to(np.asarray(alphas, dtype=float), structure.z_hat.shape)
+    scales = np.broadcast_to(np.asarray(scales, dtype=float), structure.z_hat.shape)
+    w = alphas * scales**alphas * structure.z_hat**-alphas
+    return [w[js] / w[js].sum() for js in structure.J]
+
+
 def test_frechet_weight_ratios():
     s = _two_candidate_structure([1.0, 2.0])
-    w1 = frechet_class_weights(s, 1.0, 1.0)
-    assert np.allclose(w1[0], [2.0 / 3.0, 1.0 / 3.0])
-    w2 = frechet_class_weights(s, 2.0, 1.0)
-    assert np.allclose(w2[0], [0.8, 0.2])
+    for alpha, expected in ((1.0, [2.0 / 3.0, 1.0 / 3.0]), (2.0, [0.8, 0.2])):
+        assert np.allclose(frechet_weights(s, alpha, 1.0)[0], expected)
+        general = class_weights(s, (standard_frechet(alpha),) * 2)
+        assert np.allclose(general[0], expected)
 
 
 def test_frechet_shortcut_matches_general_path():
     gen = np.random.default_rng(7)
     for _ in range(25):
         model, x, _ = random_consistent_instance(gen, 4, 7)
-        structure = hitting_structure(model, x)
-        shortcut = frechet_class_weights(structure, 1.0, 1.0)
-        general = class_weights(structure, model.margins)
-        for a, b in zip(shortcut, general):
+        law = conditional_law(model, x)
+        closed = frechet_weights(law.structure, 1.0, 1.0)
+        for a, b in zip(closed, law.weights):
             assert np.allclose(a, b, atol=1e-12)
 
 
 def test_frechet_shortcut_with_scales():
-    # nonunit scale and alpha shift the weights; both paths must agree
+    # nonunit scale and alpha shift the weights; the general path must agree
     margins = (Frechet(alpha=2.0, scale=1.5), Frechet(alpha=2.0, scale=1.5))
     s = _two_candidate_structure([1.0, 2.0])
-    shortcut = frechet_class_weights(s, 2.0, 1.5)
+    closed = frechet_weights(s, 2.0, 1.5)
     general = class_weights(s, margins)
-    assert np.allclose(shortcut[0], general[0], atol=1e-12)
+    assert np.allclose(closed[0], general[0], atol=1e-12)
 
 
 def test_class_weights_normalized():
@@ -177,16 +182,6 @@ def test_log_weights_no_underflow_at_scale():
     assert all(np.isfinite(logsumexp(lw)) for lw in log_w)
     law = conditional_law(model, x)
     assert all(abs(w.sum() - 1.0) <= 1e-12 for w in law.weights)
-
-
-def test_require_frechet():
-    alphas, scales = require_frechet((Frechet(2.0, 0.5), Frechet(1.0)))
-    assert alphas.tolist() == [2.0, 1.0]
-    assert scales.tolist() == [0.5, 1.0]
-    grid = np.linspace(0.0, 2.0, 201)
-    tabulated = TabulatedContinuous(grid, 1.0 - np.abs(grid - 1.0))
-    with pytest.raises(MixedMarginKindsError):
-        require_frechet((Frechet(1.0), tabulated))
 
 
 @given(seed=st.integers(0, 10**9))

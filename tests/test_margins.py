@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxlinear import DensityNormalizationError, Frechet, TabulatedContinuous, standard_frechet
-from maxlinear.margins import margin_from_dict
+from maxlinear import (
+    DensityNormalizationError,
+    Frechet,
+    TabulatedContinuous,
+    load_model,
+    save_model,
+    standard_frechet,
+    validate_model,
+)
+from maxlinear.margins import _columnwise, margin_from_dict
 
 
 def test_frechet_closed_forms():
@@ -105,3 +113,47 @@ def test_margin_serialization_roundtrip():
         assert copy == m
     with pytest.raises(ValueError):
         margin_from_dict({"kind": "cauchy"})
+
+
+def _count_quantile_calls(monkeypatch, cls):
+    calls = []
+    quantile = cls.quantile
+
+    def counted(self, u):
+        calls.append(self)
+        return quantile(self, u)
+
+    monkeypatch.setattr(cls, "quantile", counted)
+    return calls
+
+
+def test_columnwise_groups_equal_margins(monkeypatch):
+    # three kinds cycled over seven columns; every second column holds a
+    # distinct but equal copy, which must join its kind's group
+    kinds = (standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _triangle_margin())
+    margins = [
+        kinds[j % 3] if j % 2 else margin_from_dict(kinds[j % 3].to_dict())
+        for j in range(7)
+    ]
+    values = np.linspace(0.05, 0.95, 21).reshape(3, 7)
+    for method in ("cdf", "log_pdf", "quantile"):
+        expected = np.column_stack(
+            [getattr(m, method)(values[:, j]) for j, m in enumerate(margins)]
+        )
+        assert np.array_equal(_columnwise(margins, method, values), expected)
+    frechet_calls = _count_quantile_calls(monkeypatch, Frechet)
+    tabulated_calls = _count_quantile_calls(monkeypatch, TabulatedContinuous)
+    _columnwise(margins, "quantile", values)
+    assert (len(frechet_calls), len(tabulated_calls)) == (2, 1)
+
+
+def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):
+    model = validate_model(np.ones((1, 5)), [Frechet(alpha=2.0, scale=0.5)] * 5)
+    save_model(model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded.margins[0] is not loaded.margins[1]
+    values = np.linspace(0.1, 0.9, 10).reshape(2, 5)
+    expected = model.margins[0].quantile(values)
+    calls = _count_quantile_calls(monkeypatch, Frechet)
+    assert np.array_equal(_columnwise(loaded.margins, "quantile", values), expected)
+    assert len(calls) == 1

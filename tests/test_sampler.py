@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from scipy import integrate, stats
 from maxlinear import (
     AcceptanceTooRareError,
     DimensionMismatchError,
+    Frechet,
+    MarginSpec,
     NegativeEntryError,
     RngStream,
     SmithSpec,
+    TabulatedContinuous,
     ZeroMassBelowBoundError,
     conditional_law,
     draw_conditional,
@@ -21,10 +26,10 @@ from maxlinear import (
     run_prediction,
     smith_design,
     standard_frechet,
-    truncated_draw,
     validate_model,
 )
 from maxlinear.experiments import ones_lower_triangular_model, random_consistent_instance
+from maxlinear.margins import margin_from_dict
 from maxlinear.model import live_entries
 from maxlinear.sampler import PredictionTask, _truncated_matrix, row_floors
 
@@ -51,14 +56,14 @@ def test_rng_stream_reproducible_and_split():
 def test_truncated_draw_respects_bound():
     m = standard_frechet(1.0)
     gen = RngStream(1).generator()
-    draws = np.array([truncated_draw(m, 0.8, gen) for _ in range(500)])
+    draws = _truncated_matrix((m,), np.array([0.8]), gen, 500)[:, 0]
     assert np.all((draws > 0) & (draws < 0.8))
 
 
 def test_truncated_draw_matches_truncated_cdf():
     m = standard_frechet(1.0)
     gen = RngStream(2).generator()
-    draws = np.array([truncated_draw(m, 1.0, gen) for _ in range(100_000)])
+    draws = _truncated_matrix((m,), np.array([1.0]), gen, 100_000)[:, 0]
     trunc = lambda z: np.exp(-1.0 / np.clip(z, 1e-300, 1.0)) / np.exp(-1.0)
     assert stats.kstest(draws, trunc).statistic < 0.01
 
@@ -66,25 +71,51 @@ def test_truncated_draw_matches_truncated_cdf():
 def test_truncated_draw_unbounded_limit():
     m = standard_frechet(1.0)
     gen = RngStream(3).generator()
-    draws = np.array([truncated_draw(m, 1e12, gen) for _ in range(100_000)])
+    draws = _truncated_matrix((m,), np.array([1e12]), gen, 100_000)[:, 0]
     assert stats.kstest(draws, lambda z: np.exp(-1.0 / z)).statistic < 0.01
 
 
 def test_truncated_draw_zero_mass():
     m = standard_frechet(1.0)
     with pytest.raises(ZeroMassBelowBoundError):
-        truncated_draw(m, 1e-3, RngStream(0))  # exp(-1000) underflows
-    with pytest.raises(ValueError):
-        truncated_draw(m, -1.0, RngStream(0))
+        # exp(-1000) underflows
+        _truncated_matrix((m,), np.array([1e-3]), RngStream(0).generator(), 1)
 
 
 def test_truncated_matrix_heterogeneous_path():
     margins = (standard_frechet(1.0), standard_frechet(2.0))
     gen = RngStream(9).generator()
-    vals = _truncated_matrix(margins, np.array([0, 1]), np.array([0.7, 1.3]), gen, 400)
+    vals = _truncated_matrix(margins, np.array([0.7, 1.3]), gen, 400)
     assert vals.shape == (400, 2)
     assert np.all(vals[:, 0] < 0.7) and np.all(vals[:, 1] < 1.3)
     assert np.all(vals > 0)
+
+
+class _OnTheBound(MarginSpec):
+    """Unit Frechet whose first ``calls`` quantile calls return the bound."""
+
+    def __init__(self, bound, calls):
+        self.bound = bound
+        self.calls = calls
+
+    def cdf(self, z):
+        return standard_frechet(1.0).cdf(z)
+
+    def quantile(self, u):
+        if self.calls > 0:
+            self.calls -= 1
+            return np.full(np.shape(u), self.bound)
+        return standard_frechet(1.0).quantile(u)
+
+
+def test_truncated_matrix_redraws_are_bounded():
+    bounds = np.array([1.0, 0.8])
+    stuck = (standard_frechet(1.0), _OnTheBound(0.8, calls=np.inf))
+    with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
+        _truncated_matrix(stuck, bounds, RngStream(4).generator(), 50)
+    once = (standard_frechet(1.0), _OnTheBound(0.8, calls=1))
+    vals = _truncated_matrix(once, bounds, RngStream(4).generator(), 50)
+    assert np.all((vals > 0) & (vals < bounds))
 
 
 def triangular_law(x):
@@ -173,6 +204,89 @@ def test_asymmetric_scenario_frequencies():
     assert abs(freq - 2.0 / 3.0) <= band
 
 
+def _four_class_law():
+    # one class per row: symmetric (1/2, 1/2), asymmetric (2/3, 1/3), one
+    # with a small third weight 0.05 / 2.05 and one deterministic atom
+    A = np.zeros((4, 8))
+    A[0, :2] = 1.0
+    A[1, 2:4] = (1.0, 0.5)
+    A[2, 4:7] = (1.0, 1.0, 0.05)
+    A[3, 7] = 1.0
+    model = validate_model(A, [standard_frechet(1.0)] * 8)
+    return conditional_law(model, np.ones(4))
+
+
+def test_multi_class_pick_frequencies():
+    law = _four_class_law()
+    assert law.rank == 4 and law.weights[2][2] == pytest.approx(0.05 / 2.05)
+    N = 100_000
+    _, chosen = draw_conditional_batch(law, N, RngStream(14))
+    for s, (js, ws) in enumerate(zip(law.structure.J, law.weights)):
+        for j, w in zip(js, ws):
+            freq = (chosen[:, s] == j).mean()
+            assert abs(freq - w) <= 3.0 * np.sqrt(w * (1.0 - w) / N)
+
+
+def test_picks_stay_in_their_class():
+    # cumulative weights that fall short of each class's end, as rounding
+    # can make them, must still pick inside the class
+    law = _four_class_law()
+    short = dataclasses.replace(law, weights=tuple(w * (1.0 - 1e-2) for w in law.weights))
+    _, chosen = draw_conditional_batch(short, 2_000, RngStream(15))
+    for s, js in enumerate(law.structure.J):
+        assert np.all(np.isin(chosen[:, s], js))
+
+
+def _gamma2_margin():
+    grid = np.linspace(0.0, 20.0, 401)
+    density = grid * np.exp(-grid)
+    density /= np.sum(np.diff(grid) * (density[:-1] + density[1:]) / 2.0)
+    return TabulatedContinuous(grid, density)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    p=st.integers(1, 9),
+    frechets=st.lists(
+        st.tuples(st.floats(0.5, 5.0), st.floats(0.2, 5.0)), min_size=1, max_size=3
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_batch_draws_are_exact_with_mixed_margins(seed, n, p, frechets):
+    # Frechet margins of any shape and scale plus a tabulated one; some
+    # columns share a margin object, others hold a distinct but equal copy
+    gen = np.random.default_rng(seed)
+    kinds = [Frechet(alpha=a, scale=c) for a, c in frechets] + [_gamma2_margin()]
+    margins = []
+    for k in gen.integers(len(kinds), size=p):
+        m = kinds[k]
+        margins.append(m if gen.random() < 0.5 else margin_from_dict(m.to_dict()))
+    A = gen.random((n, p))
+    A[gen.random((n, p)) < 0.35] = 0.0
+    for i in np.flatnonzero(~(A > 0).any(axis=1)):
+        A[i, gen.integers(p)] = gen.random() + 0.1
+    for j in np.flatnonzero(~(A > 0).any(axis=0)):
+        A[gen.integers(n), j] = gen.random() + 0.1
+    model = validate_model(A, margins)
+    z = np.array([m.quantile(u) for m, u in zip(margins, gen.random(p))])
+    x = (A * z).max(axis=1)
+    law = conditional_law(model, x)
+    num = 50
+    Z, chosen = draw_conditional_batch(law, num, RngStream(seed))
+    z_hat = law.z_hat
+    rel_tol = 1e-9  # the default of conditional_law
+    assert np.all(np.abs(max_linear_apply_batch(A, Z) - x) <= rel_tol * x)
+    for s, js in enumerate(law.structure.J):
+        assert np.all(np.isin(chosen[:, s], js))
+    rows = np.arange(num)[:, None]
+    assert np.array_equal(Z[rows, chosen], np.broadcast_to(z_hat[chosen], chosen.shape))
+    rest = np.ones(Z.shape, dtype=bool)
+    rest[rows, chosen] = False
+    below = (Z > 0.0) & (Z < z_hat)
+    assert np.all(below[rest])
+
+
 def test_predict_consistency():
     model, law = triangular_law([1.0, 1.0, 3.0])
     s = draw_conditional(law, RngStream(8))
@@ -253,6 +367,17 @@ def test_run_prediction_shape_errors():
     with pytest.raises(DimensionMismatchError):
         run_prediction(PredictionTask(
             A=np.ones((1, 2)), B=np.ones(2), margins=margins,
+            x=np.array([1.0]), num_samples=1, seed=0,
+        ))
+    # no observations at all, or no factors
+    with pytest.raises(DimensionMismatchError):
+        run_prediction(PredictionTask(
+            A=np.ones((0, 2)), B=np.ones((1, 2)), margins=margins,
+            x=np.array([]), num_samples=1, seed=0,
+        ))
+    with pytest.raises(DimensionMismatchError):
+        run_prediction(PredictionTask(
+            A=np.ones((1, 0)), B=np.ones((1, 0)), margins=(),
             x=np.array([1.0]), num_samples=1, seed=0,
         ))
 
