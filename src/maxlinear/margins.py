@@ -1,9 +1,10 @@
 """Margin specifications for the independent factors of a max-linear model.
 
 A margin is a continuous nonnegative distribution exposing density, CDF,
-quantile and their logarithms. The Frechet family is the principal
-instance; ``TabulatedContinuous`` supports arbitrary grid-based densities
-so the general weight formulas can be exercised beyond the Frechet case.
+quantile and their logarithms (``log_quantile`` inverts ``log_cdf``).
+The Frechet family is the principal instance; ``TabulatedContinuous``
+supports arbitrary grid-based densities so the general weight formulas
+can be exercised beyond the Frechet case.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class MarginSpec:
         with np.errstate(divide="ignore"):
             return np.log(self.pdf(z))
 
+    def log_quantile(self, log_u):
+        """Quantile at ``exp(log_u)``: the inverse of ``log_cdf``."""
+        return self.quantile(np.exp(log_u))
+
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -50,7 +55,8 @@ class Frechet(MarginSpec):
 
     CDF: F(z) = exp(-scale^alpha * z^(-alpha)) for z > 0.
     Density: f(z) = alpha * scale^alpha * z^(-alpha-1) * F(z).
-    Quantile: Q(u) = scale * (-ln u)^(-1/alpha).
+    Quantile: Q(u) = scale * (-ln u)^(-1/alpha), so that
+    Q(exp(l)) = scale * (-l)^(-1/alpha) needs no exponential.
     """
 
     alpha: float
@@ -64,9 +70,10 @@ class Frechet(MarginSpec):
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError(f"scale must be positive, got {self.scale}")
 
+    # z**-alpha overflows to inf for tiny z; -inf is the right log-limit
     def log_cdf(self, z):
         z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(z > 0, -self.scale**self.alpha * z**-self.alpha, -np.inf)
         return out if out.ndim else float(out)
 
@@ -75,7 +82,7 @@ class Frechet(MarginSpec):
 
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(
                 z > 0,
                 np.log(self.alpha)
@@ -98,6 +105,15 @@ class Frechet(MarginSpec):
                 self.scale * (-np.log(np.clip(u, None, 1.0))) ** (-1.0 / self.alpha),
             )
         return out if out.ndim else float(out)
+
+    def log_quantile(self, log_u):
+        # one allocation, then in place: this is the truncated-draw kernel.
+        # 0 - l rather than -l, so that l = 0 gives +0 and Q = +inf
+        out = 0.0 - np.asarray(log_u, dtype=float)
+        with np.errstate(divide="ignore"):
+            out **= -1.0 / self.alpha
+        out *= self.scale
+        return out if np.ndim(out) else float(out)
 
     def to_dict(self) -> dict:
         return {"kind": "frechet", "alpha": self.alpha, "scale": self.scale}

@@ -74,35 +74,45 @@ def _truncated_matrix(
     """(num, len(bounds)) draws; column j follows margins[j] conditioned
     on lying strictly inside (0, bounds[j]).
 
-    Inverse CDF applied to U * F_j(bounds[j]). A value that floating
-    point puts on 0 or on the bound (or NaN) is redrawn, for at most
-    ``REDRAW_ROUNDS`` rounds.
+    Drawn in log space, as the log-quantile of log U + log F_j(bounds[j]),
+    so a bound far in the lower tail, where F_j itself underflows, still
+    has its exact truncated law. One buffer holds U, then log U + log F,
+    before the margins map it. A value that floating point puts on 0 or
+    on the bound (or NaN) is redrawn, for at most ``REDRAW_ROUNDS`` rounds.
 
     Raises
     ------
     ZeroMassBelowBoundError
-        if the CDF below a bound underflows to zero, or if some value is
-        still outside (0, bound) after the last round.
+        if the log-CDF at a bound is -inf, or if some value is still
+        outside (0, bound) after the last round.
     """
-    f_bounds = _columnwise(margins, "cdf", bounds)
-    empty = np.flatnonzero(f_bounds <= 0.0)
+    log_f = _columnwise(margins, "log_cdf", bounds)
+    empty = np.flatnonzero(log_f == -np.inf)
     if empty.size:
         raise ZeroMassBelowBoundError(
-            f"CDF mass below bound {bounds[empty[0]]} of column {empty[0]} "
-            "underflows to zero"
+            f"no mass below bound {bounds[empty[0]]} of column {empty[0]}: "
+            "its log-CDF is -inf"
         )
-    values = _columnwise(margins, "quantile", gen.random((num, bounds.size)) * f_bounds)
+    log_u = gen.random((num, bounds.size))
+    # U = 0 gives log U = -inf and the value 0, which is redrawn
+    with np.errstate(divide="ignore"):
+        np.log(log_u, out=log_u)
+    log_u += log_f
+    values = _columnwise(margins, "log_quantile", log_u)
     for redraws in range(REDRAW_ROUNDS + 1):
-        rows, cols = np.nonzero(~((values > 0.0) & (values < bounds)))
-        if not cols.size:
+        ok = values > 0.0
+        ok &= values < bounds
+        if ok.all():
             return values
+        rows, cols = np.nonzero(~ok)
         if redraws == REDRAW_ROUNDS:
             raise ZeroMassBelowBoundError(
                 f"no draw of column {cols[0]} fell strictly inside "
                 f"(0, {bounds[cols[0]]}) in {REDRAW_ROUNDS} redraw rounds"
             )
-        u = gen.random(cols.size) * f_bounds[cols]
-        values[rows, cols] = _columnwise([margins[j] for j in cols], "quantile", u)
+        with np.errstate(divide="ignore"):
+            log_u = np.log(gen.random(cols.size)) + log_f[cols]
+        values[rows, cols] = _columnwise([margins[j] for j in cols], "log_quantile", log_u)
 
 
 @dataclass(frozen=True)

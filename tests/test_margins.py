@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from maxlinear import (
     DensityNormalizationError,
     Frechet,
+    MarginSpec,
     TabulatedContinuous,
     load_model,
     save_model,
@@ -34,6 +35,10 @@ def test_frechet_edge_values():
     assert m.quantile(0.0) == 0.0
     assert m.log_cdf(2.0) == pytest.approx(-0.5)
     assert np.isneginf(m.log_cdf(0.0))
+    # z**-alpha overflows: the limit, without a RuntimeWarning
+    assert np.isneginf(m.log_cdf(1e-320)) and np.isneginf(m.log_pdf(1e-320))
+    assert m.log_quantile(-np.inf) == 0.0
+    assert isinstance(m.log_quantile(-1.0), float)
 
 
 def test_frechet_rejects_bad_parameters():
@@ -54,6 +59,19 @@ def test_frechet_rejects_bad_parameters():
 def test_frechet_quantile_inverts_cdf(alpha, scale, u):
     m = Frechet(alpha=alpha, scale=scale)
     assert m.cdf(m.quantile(u)) == pytest.approx(u, rel=1e-9)
+
+
+@given(
+    alpha=st.floats(0.5, 20.0),
+    scale=st.floats(0.2, 5.0),
+    log_u=st.floats(-1e6, -1e-12),
+    mid=st.floats(-700.0, -0.01),
+)
+@settings(max_examples=200, deadline=None)
+def test_frechet_log_quantile_inverts_log_cdf(alpha, scale, log_u, mid):
+    m = Frechet(alpha=alpha, scale=scale)
+    assert m.log_cdf(m.log_quantile(log_u)) == pytest.approx(log_u, rel=1e-9)
+    assert m.log_quantile(mid) == pytest.approx(m.quantile(np.exp(mid)), rel=1e-9)
 
 
 @given(
@@ -90,6 +108,14 @@ def test_tabulated_basic():
     assert m.pdf(1.0) == pytest.approx(1.0)
     assert m.pdf(3.0) == 0.0
     assert m.quantile(0.5) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_tabulated_log_quantile_is_the_default():
+    m = _triangle_margin()
+    assert type(m).log_quantile is MarginSpec.log_quantile
+    log_u = np.log(np.linspace(0.01, 0.99, 25))
+    assert np.array_equal(m.log_quantile(log_u), m.quantile(np.exp(log_u)))
+    assert isinstance(m.log_quantile(-1.0), float)
 
 
 def test_tabulated_rejects_unnormalized():

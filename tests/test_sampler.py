@@ -75,11 +75,21 @@ def test_truncated_draw_unbounded_limit():
     assert stats.kstest(draws, lambda z: np.exp(-1.0 / z)).statistic < 0.01
 
 
-def test_truncated_draw_zero_mass():
+def test_truncated_draw_far_in_the_lower_tail():
+    # F(1e-3) = exp(-1000) underflows, log F = -1000 does not
     m = standard_frechet(1.0)
-    with pytest.raises(ZeroMassBelowBoundError):
-        # exp(-1000) underflows
-        _truncated_matrix((m,), np.array([1e-3]), RngStream(0).generator(), 1)
+    b = 1e-3
+    draws = _truncated_matrix((m,), np.array([b]), RngStream(10).generator(), 100_000)[:, 0]
+    assert np.all((draws > 0) & (draws < b))
+    trunc = lambda z: np.exp(1.0 / b - 1.0 / np.clip(z, 1e-300, b))
+    assert stats.kstest(draws, trunc).statistic < 0.01
+
+
+def test_truncated_draw_zero_mass():
+    # log F(1e-320) = -1e320 is -inf in floating point
+    bounds = np.array([1.0, 1e-320])
+    with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
+        _truncated_matrix((standard_frechet(1.0),) * 2, bounds, RngStream(0).generator(), 1)
 
 
 def test_truncated_matrix_heterogeneous_path():
@@ -272,19 +282,38 @@ def test_batch_draws_are_exact_with_mixed_margins(seed, n, p, frechets):
     z = np.array([m.quantile(u) for m, u in zip(margins, gen.random(p))])
     x = (A * z).max(axis=1)
     law = conditional_law(model, x)
-    num = 50
-    Z, chosen = draw_conditional_batch(law, num, RngStream(seed))
+    Z, chosen = draw_conditional_batch(law, 50, RngStream(seed))
+    _assert_exact_batch(A, x, law, Z, chosen)
+
+
+def _assert_exact_batch(A, x, law, Z, chosen):
+    # every draw reproduces x within rel_tol, every pick lies in its
+    # class, the picked atoms sit exactly on zhat and every other entry
+    # strictly inside (0, zhat)
     z_hat = law.z_hat
     rel_tol = 1e-9  # the default of conditional_law
     assert np.all(np.abs(max_linear_apply_batch(A, Z) - x) <= rel_tol * x)
     for s, js in enumerate(law.structure.J):
         assert np.all(np.isin(chosen[:, s], js))
-    rows = np.arange(num)[:, None]
+    rows = np.arange(Z.shape[0])[:, None]
     assert np.array_equal(Z[rows, chosen], np.broadcast_to(z_hat[chosen], chosen.shape))
     rest = np.ones(Z.shape, dtype=bool)
     rest[rows, chosen] = False
     below = (Z > 0.0) & (Z < z_hat)
     assert np.all(below[rest])
+
+
+@pytest.mark.parametrize(
+    "alpha, x",
+    [(10.0, np.array([0.5, 0.5, 1.5])), (1.0, np.array([1.0, 1.0, 3.0]) * 1e-3)],
+)
+def test_draws_exact_where_the_cdf_underflows(alpha, x):
+    # the 3 x 3 worked example with F(zhat_j) below the smallest double:
+    # log F(0.5) = -1024 at alpha 10, log F(1e-3) = -1000 at alpha 1
+    model = validate_model(np.tril(np.ones((3, 3))), [standard_frechet(alpha)] * 3)
+    law = conditional_law(model, x)
+    Z, chosen = draw_conditional_batch(law, 1_000, RngStream(16))
+    _assert_exact_batch(model.A, x, law, Z, chosen)
 
 
 def test_predict_consistency():
