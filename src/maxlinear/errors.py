@@ -42,6 +42,12 @@ class InconsistentObservationError(MaxLinearError):
     hitting matrix has no one within tolerance)."""
 
 
+class NumericalOverflowError(MaxLinearError):
+    """An upper bound zhat_j = min_i x_i / a_ij is beyond the float64
+    range, so the observation cannot be conditioned on in floating
+    point."""
+
+
 class EmptyScenarioClassError(MaxLinearError):
     """A row class has no column hitting all of its rows; signals a
     numerically degenerate tie or an inconsistent observation."""

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     EmptyScenarioClassError,
     InconsistentObservationError,
+    NumericalOverflowError,
 )
 from .model import MaxLinearModel, validate_observations
 
@@ -60,9 +61,23 @@ def compute_upper_bounds(model: MaxLinearModel, x) -> np.ndarray:
 
 
 def _upper_bounds(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
+    """zhat of a validated A (every column has a positive entry).
+
+    Raises
+    ------
+    NumericalOverflowError
+        if some zhat_j = x_i / a_ij exceeds the largest float64.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
         ratios = np.where(A > 0, x[:, None] / A, np.inf)
-    return ratios.min(axis=0)
+    z_hat = ratios.min(axis=0)
+    over = np.flatnonzero(z_hat == np.inf)
+    if over.size:
+        raise NumericalOverflowError(
+            f"upper bound of column {over[0]} overflows float64: every "
+            f"x_i / a_ij of that column exceeds {np.finfo(float).max:.3g}"
+        )
+    return z_hat
 
 
 def compute_hitting_matrix(

@@ -102,7 +102,8 @@ class Frechet(MarginSpec):
             out = np.where(
                 u <= 0.0,
                 0.0,
-                self.scale * (-np.log(np.clip(u, None, 1.0))) ** (-1.0 / self.alpha),
+                # 0 - log u rather than -log u: u = 1 gives +0 and Q = +inf
+                self.scale * (0.0 - np.log(np.clip(u, 0.0, 1.0))) ** (-1.0 / self.alpha),
             )
         return out if out.ndim else float(out)
 
@@ -196,21 +197,24 @@ def _columnwise(margins: Sequence[MarginSpec], method: str, values) -> np.ndarra
     of the margins; distinct but equal objects (one per column, as
     ``load_model`` builds them) then join one group.
     """
-    values = np.asarray(values, dtype=float)
+    # Works on values.T, whose first axis indexes the columns: for a
+    # column-major sample matrix every group gathers and scatters whole
+    # contiguous columns.
+    vt = np.asarray(values, dtype=float).T
     margins = tuple(margins)
     first = margins[0]
     if margins.count(first) == len(margins):
-        return np.asarray(getattr(first, method)(values), dtype=float)
+        return np.asarray(getattr(first, method)(vt), dtype=float).T
     by_object: dict[int, list[int]] = {}
     for j, m in enumerate(margins):
         by_object.setdefault(id(m), []).append(j)
     groups: dict[MarginSpec, list[int]] = {}
     for cols in by_object.values():
         groups.setdefault(margins[cols[0]], []).extend(cols)
-    out = np.empty(values.shape)
+    out = np.empty(vt.shape)
     for margin, cols in groups.items():
-        out[..., cols] = getattr(margin, method)(values[..., cols])
-    return out
+        out[cols] = getattr(margin, method)(vt[cols])
+    return out.T
 
 
 def margin_from_dict(doc: dict) -> MarginSpec:

@@ -176,7 +176,8 @@ def max_linear_apply_batch(A, Z, upper=None, floor=None) -> np.ndarray:
             f"bounds upper{upper.shape} and floor{floor.shape} do not fit A{A.shape}"
         )
     live = live_entries(A, upper, floor)
-    # gathering rows of Z.T makes each maximum run over contiguous samples
+    # gathering rows of Z.T makes each maximum run over contiguous samples;
+    # for the column-major Z of the sampler each gathered row is contiguous too
     Zt = Z.T
     for i in range(A.shape[0]):
         cols = np.flatnonzero(live[i])

@@ -76,9 +76,11 @@ def _truncated_matrix(
 
     Drawn in log space, as the log-quantile of log U + log F_j(bounds[j]),
     so a bound far in the lower tail, where F_j itself underflows, still
-    has its exact truncated law. One buffer holds U, then log U + log F,
-    before the margins map it. A value that floating point puts on 0 or
-    on the bound (or NaN) is redrawn, for at most ``REDRAW_ROUNDS`` rounds.
+    has its exact truncated law. One (len(bounds), num) buffer holds U,
+    then log U + log F, before the margins map it; the result is its
+    transpose, a column-major (num, len(bounds)) matrix, so that each
+    column is contiguous. A value that floating point puts on 0 or on
+    the bound (or NaN) is redrawn, for at most ``REDRAW_ROUNDS`` rounds.
 
     Raises
     ------
@@ -93,18 +95,18 @@ def _truncated_matrix(
             f"no mass below bound {bounds[empty[0]]} of column {empty[0]}: "
             "its log-CDF is -inf"
         )
-    log_u = gen.random((num, bounds.size))
+    buf = gen.random((bounds.size, num))
     # U = 0 gives log U = -inf and the value 0, which is redrawn
     with np.errstate(divide="ignore"):
-        np.log(log_u, out=log_u)
-    log_u += log_f
-    values = _columnwise(margins, "log_quantile", log_u)
+        np.log(buf, out=buf)
+    buf += log_f[:, None]
+    values = _columnwise(margins, "log_quantile", buf.T)
     for redraws in range(REDRAW_ROUNDS + 1):
         ok = values > 0.0
         ok &= values < bounds
         if ok.all():
             return values
-        rows, cols = np.nonzero(~ok)
+        cols, rows = np.nonzero(~ok.T)
         if redraws == REDRAW_ROUNDS:
             raise ZeroMassBelowBoundError(
                 f"no draw of column {cols[0]} fell strictly inside "
@@ -142,7 +144,9 @@ def draw_conditional_batch(
     against rounding. The second draws every column below its bound;
     the picked atoms then overwrite their columns with zhat.
 
-    Returns (Z, chosen) with shapes (num, p) and (num, rank).
+    Returns (Z, chosen) with shapes (num, p) and (num, rank); Z is
+    column-major (``Z.T`` is C-contiguous), one contiguous column per
+    factor.
     """
     gen = _as_generator(rng)
     cols, starts = _joined(law.structure.J)
@@ -243,7 +247,7 @@ class PredictionTask:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    Z: np.ndarray  # (num_samples, p)
+    Z: np.ndarray  # (num_samples, p), column-major
     Y: np.ndarray  # (num_samples, m)
     law: ConditionalLaw
     conditioned_columns: np.ndarray
@@ -286,10 +290,16 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     num = int(task.num_samples)
     Zc, _ = draw_conditional_batch(law, num, RngStream(task.seed, 0))
     if free.size:
-        Z = np.empty((num, A.shape[1]))
-        Z[:, cond] = Zc
-        U = RngStream(task.seed, 1).generator().random((num, free.size))
-        Z[:, free] = _columnwise([task.margins[j] for j in free], "quantile", U)
+        # column-major like Zc, so each column is copied or drawn contiguously;
+        # a free factor is its margin truncated below +inf, i.e. untruncated
+        Z = np.empty((A.shape[1], num)).T
+        Z.T[cond] = Zc.T
+        Z.T[free] = _truncated_matrix(
+            [task.margins[j] for j in free],
+            np.full(free.size, np.inf),
+            RngStream(task.seed, 1).generator(),
+            num,
+        ).T
     else:
         Z = Zc
     # free factors are unbounded

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from maxlinear import (
     EmptyScenarioClassError,
     InconsistentObservationError,
+    NumericalOverflowError,
     compute_hitting_matrix,
     compute_upper_bounds,
+    conditional_law,
     decompose,
     hitting_structure,
     max_linear_apply,
@@ -42,6 +44,16 @@ def test_upper_bounds_hand_example():
     z_hat = compute_upper_bounds(m, [4.0, 6.0])
     assert np.allclose(z_hat, [2.0, 2.0])
     assert np.allclose(max_linear_apply(m.A, z_hat), [4.0, 6.0])
+
+
+def test_upper_bound_overflow_is_an_explicit_error():
+    # zhat_0 = 1e10 / 1e-300 is beyond the float64 range: a numerical
+    # edge, not an x outside the model range
+    m = small_model([[1e-300, 0.0], [0.0, 1.0]])
+    x = [1e10, 1.0]
+    for stage in (compute_upper_bounds, hitting_structure, conditional_law):
+        with pytest.raises(NumericalOverflowError, match="column 0 overflows float64"):
+            stage(m, x)
 
 
 HITTING_CASES = [

@@ -41,6 +41,15 @@ def test_frechet_edge_values():
     assert isinstance(m.log_quantile(-1.0), float)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.0 / 3.0, 2.0])
+def test_frechet_quantile_limits(alpha):
+    # -log(1.0) is -0.0, and (-0.0) ** -1 would be -inf
+    m = standard_frechet(alpha)
+    assert m.quantile(1.0) == np.inf
+    assert np.array_equal(m.quantile(np.array([0.0, 1.0])), [0.0, np.inf])
+    assert m.quantile(-0.5) == 0.0
+
+
 def test_frechet_rejects_bad_parameters():
     with pytest.raises(ValueError):
         Frechet(alpha=0.0)
@@ -171,6 +180,40 @@ def test_columnwise_groups_equal_margins(monkeypatch):
     tabulated_calls = _count_quantile_calls(monkeypatch, TabulatedContinuous)
     _columnwise(margins, "quantile", values)
     assert (len(frechet_calls), len(tabulated_calls)) == (2, 1)
+
+
+def _gamma2_margin():
+    grid = np.linspace(0.0, 20.0, 401)
+    density = grid * np.exp(-grid)
+    density /= np.sum(np.diff(grid) * (density[:-1] + density[1:]) / 2.0)
+    return TabulatedContinuous(grid, density)
+
+
+@pytest.mark.parametrize("layout", ["1-d", "C", "F"])
+def test_columnwise_matches_per_column_in_every_layout(layout):
+    # the interleaved Frechet(1), Frechet(2, 0.5) and tabulated Gamma(2)
+    # columns of the benchmark's mixed-margins workload
+    kinds = (standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _gamma2_margin())
+    margins = [kinds[j % 3] for j in range(8)]
+    u = np.random.default_rng(5).random((6, 8))
+    if layout == "1-d":
+        u = u[0]
+    elif layout == "F":
+        u = np.asfortranarray(u)
+    for method, values in (
+        ("cdf", 4.0 * u),
+        ("log_cdf", 4.0 * u),
+        ("log_pdf", 4.0 * u),
+        ("quantile", u),
+        ("log_quantile", np.log(u)),
+    ):
+        out = _columnwise(margins, method, values)
+        expected = np.stack(
+            [getattr(m, method)(values[..., j]) for j, m in enumerate(margins)], axis=-1
+        )
+        assert np.array_equal(out, expected)
+        # a column-major input keeps its columns contiguous
+        assert out.T.flags.c_contiguous or layout == "C"
 
 
 def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):

@@ -381,6 +381,35 @@ def test_run_prediction_with_free_columns():
     assert np.allclose(np.max(result.Z[:, :2], axis=1), 2.0, rtol=1e-9)
 
 
+def test_free_columns_follow_their_margins():
+    # a free factor is its margin truncated below +inf: the margin itself
+    frechet = Frechet(alpha=2.0, scale=0.5)
+    gamma2 = _gamma2_margin()
+    task = PredictionTask(
+        A=np.array([[1.0, 0.0, 0.0]]), B=np.eye(3),
+        margins=(standard_frechet(1.0), frechet, gamma2), x=np.array([2.0]),
+        num_samples=100_000, seed=17,
+    )
+    Z = run_prediction(task).Z
+    assert stats.kstest(Z[:, 1], frechet.cdf).statistic < 0.01
+    assert stats.kstest(Z[:, 2], gamma2.cdf).statistic < 0.01
+
+
+@pytest.mark.parametrize("p_free", [0, 2])
+def test_sample_matrix_is_column_major(p_free):
+    # every per-column pass reads and writes contiguous memory
+    model, law = triangular_law([1.0, 1.0, 3.0])
+    Z, _ = draw_conditional_batch(law, 7, RngStream(2))
+    assert Z.T.flags.c_contiguous
+    A = np.hstack([model.A, np.zeros((3, p_free))])
+    result = run_prediction(PredictionTask(
+        A=A, B=np.ones((2, A.shape[1])), margins=(standard_frechet(1.0),) * A.shape[1],
+        x=np.array([1.0, 1.0, 3.0]), num_samples=7, seed=2,
+    ))
+    assert result.free_columns.size == p_free
+    assert result.Z.shape == (7, A.shape[1]) and result.Z.T.flags.c_contiguous
+
+
 def test_run_prediction_shape_errors():
     margins = (standard_frechet(1.0),) * 2
     with pytest.raises(DimensionMismatchError):
