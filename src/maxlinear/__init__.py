@@ -6,27 +6,21 @@ x, the conditional law of Z factorizes over equivalence classes of
 observations; this package computes that decomposition exactly and
 samples from it, with time-series (MARMA) and spatial (kernel
 moving-maxima) front ends.
+
+The brute-force and rejection oracles that check the sampler, and the
+``validate`` self-check suite, live in ``maxlinear.oracles``; this
+package does not import it, so ``import maxlinear`` does not load scipy.
+Helpers outside ``__all__`` stay reachable in their modules, e.g.
+``maxlinear.hitting.compute_upper_bounds``.
 """
 
-from .conditional import (
-    BRUTE_FORCE_COLUMN_CAP,
-    ConditionalLaw,
-    ScenarioLaw,
-    class_log_weights,
-    class_weights,
-    conditional_law,
-    enumerate_relevant_scenarios,
-    scenario_log_weights,
-    scenario_probabilities,
-)
+from .conditional import ConditionalLaw, class_weights, conditional_law
 from .errors import (
-    AcceptanceTooRareError,
     AssumptionAViolationError,
     DensityNormalizationError,
     DimensionMismatchError,
     DimensionOverflowError,
     EmptyScenarioClassError,
-    EmptyScenarioListError,
     InconsistentObservationError,
     MarginCountMismatchError,
     MaxLinearError,
@@ -35,84 +29,42 @@ from .errors import (
     NotPureMarError,
     NumericalOverflowError,
     NumericalUnderflowError,
-    TooLargeForBruteForceError,
     ZeroColumnError,
     ZeroMassBelowBoundError,
     ZeroRowError,
 )
-from .experiments import (
-    SamplingJob,
-    SummaryTable,
-    bench_decomposition,
-    coverage_experiment,
-    projection_bias_experiment,
-    run_sampling,
-    summarize,
-    validate_suite,
-)
-from .hitting import (
-    DEFAULT_REL_TOL,
-    HittingStructure,
-    compute_hitting_matrix,
-    compute_upper_bounds,
-    decompose,
-    hitting_structure,
-)
+from .experiments import coverage_experiment, projection_bias_experiment, summarize
+from .hitting import DEFAULT_REL_TOL, HittingStructure, hitting_structure
 from .margins import Frechet, MarginSpec, TabulatedContinuous, standard_frechet
 from .marma import (
     MarmaSpec,
     load_marma_spec,
     marma_coefficients,
     marma_design,
-    marma_truncation_quality,
     projection_predictor,
     save_marma_spec,
     simulate_marma_window,
 )
-from .model import (
-    MaxLinearModel,
-    load_model,
-    max_linear_apply,
-    max_linear_apply_batch,
-    save_model,
-    validate_model,
-    validate_observations,
-)
+from .model import MaxLinearModel, load_model, save_model, validate_model
 from .sampler import (
-    ConditionalSample,
     PredictionResult,
     PredictionTask,
     RngStream,
-    draw_conditional,
     draw_conditional_batch,
-    predict,
-    rejection_oracle,
     run_prediction,
 )
-from .smith import (
-    SmithDesign,
-    SmithSpec,
-    cell_centers,
-    load_smith_spec,
-    save_smith_spec,
-    smith_design,
-    smith_kernel,
-)
+from .smith import SmithDesign, SmithSpec, load_smith_spec, save_smith_spec, smith_design
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceTooRareError",
     "AssumptionAViolationError",
-    "BRUTE_FORCE_COLUMN_CAP",
     "ConditionalLaw",
-    "ConditionalSample",
     "DEFAULT_REL_TOL",
     "DensityNormalizationError",
     "DimensionMismatchError",
     "DimensionOverflowError",
     "EmptyScenarioClassError",
-    "EmptyScenarioListError",
     "Frechet",
     "HittingStructure",
     "InconsistentObservationError",
@@ -129,54 +81,31 @@ __all__ = [
     "PredictionResult",
     "PredictionTask",
     "RngStream",
-    "SamplingJob",
-    "ScenarioLaw",
     "SmithDesign",
     "SmithSpec",
-    "SummaryTable",
     "TabulatedContinuous",
-    "TooLargeForBruteForceError",
     "ZeroColumnError",
     "ZeroMassBelowBoundError",
     "ZeroRowError",
-    "bench_decomposition",
-    "cell_centers",
-    "class_log_weights",
     "class_weights",
-    "compute_hitting_matrix",
-    "compute_upper_bounds",
     "conditional_law",
     "coverage_experiment",
-    "decompose",
-    "draw_conditional",
     "draw_conditional_batch",
-    "enumerate_relevant_scenarios",
     "hitting_structure",
     "load_marma_spec",
     "load_model",
     "load_smith_spec",
     "marma_coefficients",
     "marma_design",
-    "marma_truncation_quality",
-    "max_linear_apply",
-    "max_linear_apply_batch",
-    "predict",
     "projection_bias_experiment",
     "projection_predictor",
-    "rejection_oracle",
     "run_prediction",
-    "run_sampling",
     "save_marma_spec",
     "save_model",
     "save_smith_spec",
-    "scenario_log_weights",
-    "scenario_probabilities",
     "simulate_marma_window",
     "smith_design",
-    "smith_kernel",
     "standard_frechet",
     "summarize",
     "validate_model",
-    "validate_observations",
-    "validate_suite",
 ]

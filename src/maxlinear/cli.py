@@ -3,6 +3,11 @@
 Subcommands: sample, marma, smith, validate, bench, inspect. All runs
 are deterministic given --seed; exit code is zero iff every requested
 operation completed (and, for validate, every check passed).
+
+``sample`` and ``smith`` draw through ``run_prediction``. Without a
+prediction matrix they pass a ``B`` with zero rows and summarize ``Z``;
+otherwise they summarize ``Y``. ``validate`` runs the self-checks of
+``maxlinear.oracles``, which only that command imports.
 """
 
 from __future__ import annotations
@@ -16,14 +21,12 @@ import numpy as np
 from .conditional import conditional_law
 from .errors import MaxLinearError
 from .experiments import (
-    SamplingJob,
     bench_decomposition,
     coverage_experiment,
     projection_bias_experiment,
-    run_sampling,
     summarize,
     summary_rows,
-    validate_suite,
+    write_sample_csv,
 )
 from .margins import standard_frechet
 from .marma import (
@@ -78,24 +81,31 @@ def _jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def cmd_sample(args) -> int:
-    model = load_model(args.model)
-    x = _load_vector(args.obs)
-    job = SamplingJob(
-        model=model,
+def _sample_and_report(args, model, x, B, threshold=None) -> int:
+    """Draw through ``run_prediction``, write the raw CSV if asked and
+    print the summary: of ``Y`` when ``B`` has rows, of ``Z`` otherwise."""
+    result = run_prediction(PredictionTask(
+        A=model.A,
+        B=B,
+        margins=model.margins,
         x=x,
         num_samples=args.num,
         seed=args.seed,
         rel_tol=args.rel_tol,
-        quantile_levels=_parse_levels(args.quantiles),
-        B=_load_matrix(args.predict) if args.predict else None,
-        threshold=args.threshold,
-        out_path=args.out,
-        emit_z=args.emit_z,
-    )
-    table, _, _ = run_sampling(job)
-    _print_summary(table)
+    ))
+    Y = result.Y if B.shape[0] else None
+    if args.out:
+        write_sample_csv(args.out, Z=result.Z if (args.emit_z or Y is None) else None, Y=Y)
+    target = result.Z if Y is None else Y
+    _print_summary(summarize(target, _parse_levels(args.quantiles), threshold))
     return 0
+
+
+def cmd_sample(args) -> int:
+    model = load_model(args.model)
+    x = _load_vector(args.obs)
+    B = _load_matrix(args.predict) if args.predict else np.zeros((0, model.p))
+    return _sample_and_report(args, model, x, B, args.threshold)
 
 
 def cmd_inspect(args) -> int:
@@ -162,24 +172,13 @@ def cmd_smith(args) -> int:
     model = validate_model(
         design.A, [standard_frechet(spec.alpha)] * design.A.shape[1]
     )
-    x = _load_vector(args.obs)
-    job = SamplingJob(
-        model=model,
-        x=x,
-        num_samples=args.num,
-        seed=args.seed,
-        rel_tol=args.rel_tol,
-        quantile_levels=_parse_levels(args.quantiles),
-        B=design.B if design.B.shape[0] else None,
-        out_path=args.out,
-        emit_z=args.emit_z,
-    )
-    table, _, _ = run_sampling(job)
-    _print_summary(table)
-    return 0
+    return _sample_and_report(args, model, _load_vector(args.obs), design.B)
 
 
 def cmd_validate(args) -> int:
+    # imported here, so that scipy stays off the sample/smith/marma paths
+    from .oracles import validate_suite
+
     report = validate_suite(seed=args.seed, trials=args.trials, epsilon=args.epsilon)
     _emit_json(report, args.out)
     return 0 if report["passed"] else 1

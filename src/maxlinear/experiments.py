@@ -1,8 +1,11 @@
-"""Experiment runners: sampling jobs, prediction studies, validation, benchmark.
+"""Experiment runners: summaries, MARMA prediction studies and the
+decomposition benchmark.
 
-Everything here is deterministic given the seed; repetition r of an
-experiment derives its substream from (seed, r), so results do not
-depend on execution order or thread count.
+Every sampling run goes through ``sampler.run_prediction``. The
+self-checks (oracles and ``validate_suite``) live in
+:mod:`maxlinear.oracles`. Everything here is deterministic given the
+seed; repetition r of an experiment derives its substream from
+(seed, r), so results do not depend on execution order or thread count.
 """
 
 from __future__ import annotations
@@ -13,22 +16,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
-from .conditional import (
-    class_log_weights,
-    conditional_law,
-    enumerate_relevant_scenarios,
-    scenario_log_weights,
-)
-from .errors import InconsistentObservationError, MaxLinearError
-from .hitting import (
-    DEFAULT_REL_TOL,
-    compute_hitting_matrix,
-    compute_upper_bounds,
-    decompose,
-    hitting_structure,
-)
+from .hitting import DEFAULT_REL_TOL, hitting_structure
 from .margins import standard_frechet
 from .marma import (
     MarmaSpec,
@@ -38,18 +27,9 @@ from .marma import (
     require_pure_mar,
     simulate_marma_window,
 )
-from .model import MaxLinearModel, max_linear_apply, validate_model
-from .sampler import (
-    PredictionTask,
-    RngStream,
-    draw_conditional,
-    draw_conditional_batch,
-    rejection_oracle,
-    run_prediction,
-)
+from .model import MaxLinearModel, validate_model
+from .sampler import PredictionTask, RngStream, run_prediction
 from .smith import SmithSpec, smith_design
-
-from scipy.special import logsumexp
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -139,61 +119,6 @@ def summary_rows(table: SummaryTable) -> list[dict]:
             row["exceedance_probability"] = table.exceedance[k]
         rows.append(row)
     return rows
-
-
-# --- sampling jobs ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class SamplingJob:
-    """One conditional-sampling run: observe x through the model, draw
-    samples, optionally map them through a prediction matrix B."""
-
-    model: MaxLinearModel
-    x: np.ndarray
-    num_samples: int
-    seed: int
-    rel_tol: float = DEFAULT_REL_TOL
-    quantile_levels: tuple[float, ...] = (0.5, 0.95)
-    B: np.ndarray | None = None
-    threshold: np.ndarray | float | None = None
-    out_path: str | None = None
-    emit_z: bool = False
-
-
-def run_sampling(job: SamplingJob) -> tuple[SummaryTable, np.ndarray, np.ndarray | None]:
-    """Draw the samples, write the raw CSV if requested, summarize.
-
-    Returns (summary, Z, Y); Y is None when no prediction matrix is given.
-    Summaries are over Y when present, otherwise over Z.
-    """
-    if job.num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    if job.B is not None:
-        task = PredictionTask(
-            A=job.model.A,
-            B=np.asarray(job.B, dtype=float),
-            margins=job.model.margins,
-            x=np.asarray(job.x, dtype=float),
-            num_samples=job.num_samples,
-            seed=job.seed,
-            rel_tol=job.rel_tol,
-        )
-        result = run_prediction(task)
-        Z, Y = result.Z, result.Y
-        target = Y
-    else:
-        law = conditional_law(job.model, job.x, job.rel_tol)
-        Z, _ = draw_conditional_batch(law, job.num_samples, RngStream(job.seed, 0))
-        Y = None
-        target = Z
-    if job.out_path:
-        write_sample_csv(
-            job.out_path,
-            Z=Z if (job.emit_z or Y is None) else None,
-            Y=Y,
-        )
-    table = summarize(target, job.quantile_levels, job.threshold)
-    return table, Z, Y
 
 
 # --- MARMA experiments ------------------------------------------------------
@@ -287,139 +212,6 @@ def projection_bias_experiment(
     }
 
 
-# --- validation suite -------------------------------------------------------
-
-def ones_lower_triangular_model(n: int = 3) -> MaxLinearModel:
-    """The canonical n x n worked example: ones on and below the diagonal,
-    standard 1-Frechet margins."""
-    return validate_model(np.tril(np.ones((n, n))), [standard_frechet(1.0)] * n)
-
-
-def random_consistent_instance(gen: np.random.Generator, n: int, p: int):
-    """Random model (uniform entries with random zeros, Assumption A
-    repaired) together with a model-generated observation."""
-    A = gen.random((n, p))
-    A[gen.random((n, p)) < 0.35] = 0.0
-    for i in np.flatnonzero(~(A > 0).any(axis=1)):
-        A[i, gen.integers(p)] = gen.random() + 0.1
-    for j in np.flatnonzero(~(A > 0).any(axis=0)):
-        A[gen.integers(n), j] = gen.random() + 0.1
-    model = validate_model(A, [standard_frechet(1.0)] * p)
-    Z = 1.0 / -np.log(gen.random(p))
-    return model, (A * Z).max(axis=1), Z
-
-
-def factorization_gap(model: MaxLinearModel, x, rel_tol=DEFAULT_REL_TOL) -> float:
-    """Relative error between the enumerated total scenario weight and
-    the per-class product form (they are equal in exact arithmetic)."""
-    law = conditional_law(model, x, rel_tol)
-    structure = law.structure
-    scenarios = enumerate_relevant_scenarios(structure.H)
-    log_total = logsumexp(scenario_log_weights(scenarios, model.margins, structure.z_hat))
-    log_prod = sum(logsumexp(lw) for lw in class_log_weights(structure, model.margins))
-    return abs(math.expm1(log_total - log_prod))
-
-
-def product_form_scenarios(structure) -> set[tuple[int, ...]]:
-    """Cartesian product of the per-class candidate columns."""
-    import itertools
-
-    return {
-        tuple(sorted(int(j) for j in combo))
-        for combo in itertools.product(*[js.tolist() for js in structure.J])
-    }
-
-
-def validate_suite(
-    seed: int = 0,
-    trials: int = 100,
-    n: int = 5,
-    p: int = 8,
-    epsilon: float = 0.01,
-    oracle_accepts: int = 500,
-) -> dict:
-    """End-to-end self-checks; returns a machine-readable report.
-
-    (a) enumerated scenario law vs factorized law on random instances,
-    (b) rejection-oracle distribution comparison on the worked example,
-    (c) structural invariants (residuation, draw exactness, error paths).
-    """
-    checks: list[dict] = []
-
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    model3 = ones_lower_triangular_model()
-    # worked examples: hitting matrices and scenario sets
-    cases = {
-        "(1,2,3)": (np.array([1.0, 2.0, 3.0]), np.eye(3, dtype=bool), [(0, 1, 2)]),
-        "(1,1,3)": (
-            np.array([1.0, 1.0, 3.0]),
-            np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=bool),
-            [(0, 2)],
-        ),
-        "(1,1,1)": (
-            np.array([1.0, 1.0, 1.0]),
-            np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]], dtype=bool),
-            [(0,)],
-        ),
-    }
-    for label, (x, H_want, scen_want) in cases.items():
-        z_hat = compute_upper_bounds(model3, x)
-        H = compute_hitting_matrix(model3, x, z_hat)
-        scen = enumerate_relevant_scenarios(H)
-        ok = np.array_equal(H, H_want) and scen == scen_want
-        record(f"worked example x={label}", ok)
-
-    gen = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    worst_gap = 0.0
-    set_mismatches = 0
-    exactness_failures = 0
-    for t in range(trials):
-        model, x, _ = random_consistent_instance(gen, n, p)
-        law = conditional_law(model, x)
-        structure = law.structure
-        scen = set(enumerate_relevant_scenarios(structure.H))
-        if scen != product_form_scenarios(structure):
-            set_mismatches += 1
-        worst_gap = max(worst_gap, factorization_gap(model, x))
-        sample = draw_conditional(law, RngStream(derived_seed(seed, t), 0))
-        err = np.abs(max_linear_apply(model.A, sample.z) - x) / x
-        if err.max() > 10 * DEFAULT_REL_TOL:
-            exactness_failures += 1
-    record("scenario sets: brute force == product form", set_mismatches == 0,
-           f"{set_mismatches} mismatches / {trials} trials")
-    record("factorization identity", worst_gap <= 1e-10,
-           f"worst relative gap {worst_gap:.3g}")
-    record("draw exactness", exactness_failures == 0,
-           f"{exactness_failures} failures / {trials} trials")
-
-    # rejection oracle on the worked example, case (1,1,3): the free
-    # coordinate must match the truncated margin law
-    x = np.array([1.0, 1.0, 3.0])
-    oracle = rejection_oracle(
-        model3, x, epsilon, oracle_accepts, RngStream(seed, 2),
-        max_proposals=200_000_000,
-    )
-    margin = model3.margins[1]
-    trunc_cdf = lambda v: np.clip(margin.cdf(v) / margin.cdf(1.0), 0.0, 1.0)
-    ks = scipy_stats.kstest(oracle[:, 1], trunc_cdf).statistic
-    ks_cut = 1.95 / math.sqrt(oracle_accepts)  # ~0.1% KS critical value
-    record("rejection oracle KS (free coordinate)", ks < ks_cut,
-           f"KS {ks:.4f} vs cut {ks_cut:.4f} at {oracle_accepts} acceptances")
-
-    # corrupted observation must be rejected as out of range
-    try:
-        conditional_law(model3, np.array([1.0, 0.5, 3.0]))
-        record("inconsistent observation rejected", False, "no error raised")
-    except InconsistentObservationError:
-        record("inconsistent observation rejected", True)
-    except MaxLinearError as exc:  # wrong error class
-        record("inconsistent observation rejected", False, repr(exc))
-
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
-
-
 # --- decomposition benchmark -------------------------------------------------
 
 def _bench_design(n: int, p: int, gen: np.random.Generator) -> MaxLinearModel:
@@ -441,31 +233,38 @@ def bench_decomposition(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> list[dict]:
     """Mean/std wall time of upper bounds + hitting matrix + decomposition,
-    per (n, p) cell, over model-generated observations."""
+    per (n, p) cell, over model-generated observations.
+
+    The cells are timed round-robin: draw d of every cell runs before
+    draw d + 1 of any, so a drift in machine speed hits every cell alike.
+    Each cell keeps its own generator, so its inputs do not depend on the
+    other cells.
+    """
     cells = []
     for n in n_list:
         for p in p_list:
             gen = np.random.default_rng(np.random.SeedSequence((seed, n, p)))
-            model = _bench_design(n, p, gen)
-            times = np.empty(draws)
-            for d in range(-2, draws):  # two untimed warmup draws
-                Z = 1.0 / -np.log(gen.random(p))
-                x = (model.A * Z).max(axis=1)
-                best = np.inf
-                for _ in range(3):  # best-of-3 damps clock and allocator noise
-                    t0 = time.perf_counter()
-                    hitting_structure(model, x, rel_tol)
-                    best = min(best, time.perf_counter() - t0)
-                if d >= 0:
-                    times[d] = best
-            cells.append(
-                {
-                    "n": int(n),
-                    "p": int(p),
-                    "mean_seconds": float(times.mean()),
-                    "std_seconds": float(times.std(ddof=1)) if draws > 1 else 0.0,
-                    "median_seconds": float(np.median(times)),
-                    "draws": int(draws),
-                }
-            )
-    return cells
+            cells.append((int(n), int(p), gen, _bench_design(n, p, gen)))
+    times = np.empty((len(cells), draws))
+    for d in range(-2, draws):  # two untimed warmup rounds
+        for c, (_, p, gen, model) in enumerate(cells):
+            Z = 1.0 / -np.log(gen.random(p))
+            x = (model.A * Z).max(axis=1)
+            best = np.inf
+            for _ in range(3):  # best-of-3 damps clock and allocator noise
+                t0 = time.perf_counter()
+                hitting_structure(model, x, rel_tol)
+                best = min(best, time.perf_counter() - t0)
+            if d >= 0:
+                times[c, d] = best
+    return [
+        {
+            "n": n,
+            "p": p,
+            "mean_seconds": float(t.mean()),
+            "std_seconds": float(t.std(ddof=1)) if draws > 1 else 0.0,
+            "median_seconds": float(np.median(t)),
+            "draws": int(draws),
+        }
+        for (n, p, _, _), t in zip(cells, times)
+    ]

@@ -1,0 +1,409 @@
+"""Self-checks of the exact sampler: independent oracles and the checks
+of the acceptance criteria built on them.
+
+The oracles are the brute-force scenario mixture (``ScenarioLaw``, by
+exhaustive minimum-cover enumeration, exponential in general) and a
+rejection sampler that shares no code with the sampler. Acceptance
+criteria 1-3 have one check each, which ``tests/test_acceptance.py``
+calls with pinned arguments and :func:`validate_suite` with the command
+line's seed and trial count. This is the only module that needs scipy;
+``import maxlinear`` does not load it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+from scipy import stats as scipy_stats
+from scipy.special import logsumexp
+
+from .conditional import class_log_weights, conditional_law
+from .errors import (
+    AcceptanceTooRareError,
+    EmptyScenarioListError,
+    InconsistentObservationError,
+    MaxLinearError,
+    NumericalUnderflowError,
+    TooLargeForBruteForceError,
+)
+from .experiments import derived_seed
+from .hitting import (
+    DEFAULT_REL_TOL,
+    compute_hitting_matrix,
+    compute_upper_bounds,
+    hitting_structure,
+)
+from .margins import MarginSpec, _columnwise, standard_frechet
+from .model import (
+    MaxLinearModel,
+    max_linear_apply,
+    max_linear_apply_batch,
+    validate_model,
+    validate_observations,
+)
+from .sampler import RngStream, _as_generator, draw_conditional_batch
+
+BRUTE_FORCE_COLUMN_CAP = 20
+
+
+# --- brute-force scenario law ---------------------------------------------
+
+def enumerate_relevant_scenarios(
+    H, max_columns: int = BRUTE_FORCE_COLUMN_CAP
+) -> list[tuple[int, ...]]:
+    """All minimum-cardinality column subsets covering every row of H.
+
+    Exhaustive search in increasing cardinality order; exponential in p,
+    capped at ``max_columns`` columns because this exists only as an
+    oracle for the factorized decomposition.
+    """
+    H = np.asarray(H, dtype=bool)
+    n, p = H.shape
+    if p > max_columns:
+        raise TooLargeForBruteForceError(
+            f"p = {p} exceeds brute-force cap {max_columns}"
+        )
+    col_masks = []
+    for j in range(p):
+        m = 0
+        for i in np.flatnonzero(H[:, j]):
+            m |= 1 << int(i)
+        col_masks.append(m)
+    full = (1 << n) - 1
+    for r in range(1, p + 1):
+        found = [
+            combo
+            for combo in itertools.combinations(range(p), r)
+            if _covers(combo, col_masks, full)
+        ]
+        if found:
+            return found
+    raise ValueError("H has an uncoverable row")
+
+
+def _covers(combo, col_masks, full) -> bool:
+    m = 0
+    for j in combo:
+        m |= col_masks[j]
+        if m == full:
+            return True
+    return False
+
+
+@dataclass(frozen=True)
+class ScenarioLaw:
+    """Oracle mixture over relevant hitting scenarios.
+
+    scenarios[k] is a tuple of column indices forced to their upper
+    bounds; probabilities[k] is its mixture weight.
+    """
+
+    scenarios: tuple[tuple[int, ...], ...]
+    probabilities: np.ndarray
+    z_hat: np.ndarray
+    margins: tuple[MarginSpec, ...]
+
+
+def scenario_log_weights(
+    scenarios: Sequence[Sequence[int]],
+    margins: Sequence[MarginSpec],
+    z_hat,
+) -> np.ndarray:
+    """Unnormalized log w_J for each scenario J:
+
+    log w_J = sum_{j in J} [log zhat_j + log f_j(zhat_j) - log F_j(zhat_j)]
+              + sum_j log F_j(zhat_j).
+    """
+    z_hat = np.asarray(z_hat, dtype=float)
+    log_pdf = _columnwise(margins, "log_pdf", z_hat)
+    log_cdf = _columnwise(margins, "log_cdf", z_hat)
+    base = log_cdf.sum()
+    log_z = np.log(z_hat)
+    per_col = log_z + log_pdf - log_cdf
+    return np.array([base + per_col[list(J)].sum() for J in scenarios])
+
+
+def scenario_probabilities(
+    scenarios: Sequence[Sequence[int]],
+    margins: Sequence[MarginSpec],
+    z_hat,
+) -> ScenarioLaw:
+    """Normalize scenario weights into the oracle mixture law."""
+    scenarios = [tuple(int(j) for j in J) for J in scenarios]
+    if not scenarios:
+        raise EmptyScenarioListError("no scenarios supplied")
+    sizes = {len(J) for J in scenarios}
+    if len(sizes) != 1:
+        raise ValueError(f"scenarios must share one cardinality, got sizes {sizes}")
+    z_hat = np.asarray(z_hat, dtype=float)
+    log_w = scenario_log_weights(scenarios, margins, z_hat)
+    total = logsumexp(log_w)
+    if not np.isfinite(total):
+        raise NumericalUnderflowError("all weights of scenario list vanish in log space")
+    return ScenarioLaw(tuple(scenarios), np.exp(log_w - total), z_hat, tuple(margins))
+
+
+def factorization_gap(model: MaxLinearModel, x, rel_tol=DEFAULT_REL_TOL) -> float:
+    """Relative error between the enumerated total scenario weight and
+    the per-class product form (they are equal in exact arithmetic)."""
+    structure = hitting_structure(model, x, rel_tol)
+    scenarios = enumerate_relevant_scenarios(structure.H)
+    log_total = logsumexp(scenario_log_weights(scenarios, model.margins, structure.z_hat))
+    log_prod = sum(logsumexp(lw) for lw in class_log_weights(structure, model.margins))
+    return abs(math.expm1(log_total - log_prod))
+
+
+def product_form_scenarios(structure) -> set[tuple[int, ...]]:
+    """Cartesian product of the per-class candidate columns."""
+    return {
+        tuple(sorted(int(j) for j in combo))
+        for combo in itertools.product(*[js.tolist() for js in structure.J])
+    }
+
+
+# --- rejection oracle -------------------------------------------------------
+
+def rejection_oracle(
+    model: MaxLinearModel,
+    x,
+    epsilon: float,
+    num_accepted: int,
+    rng,
+    max_proposals: int = 1_000_000_000,
+    batch_size: int = 200_000,
+) -> np.ndarray:
+    """Independent statistical oracle for the conditional sampler.
+
+    Accepts factor vectors whose image reproduces every observation
+    within relative ``epsilon``. As epsilon shrinks, the accepted law
+    converges to the exact conditional law. Acceptance is checked in
+    observation space, which matches the exact law only in the limit;
+    keep epsilon small.
+
+    Every accepted z lies in the box z_j <= (1 + epsilon) zhat_j, so the
+    proposals are drawn from the margins truncated to that box, as
+    Q_j(U F_j((1 + epsilon) zhat_j)), with each margin's own ``cdf`` and
+    ``quantile``. That is an exact rejection sampler of the same target,
+    with far fewer proposals than drawing from the untruncated margins.
+
+    Returns the accepted factor vectors, shape (num_accepted, p).
+
+    Raises
+    ------
+    AcceptanceTooRareError
+        if ``max_proposals`` proposals are exhausted first; the error
+        carries the observed acceptance rate.
+    """
+    if not (0.0 < epsilon <= 0.1):
+        raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon}")
+    x = validate_observations(x, model.n)
+    gen = _as_generator(rng)
+    box = (1.0 + epsilon) * compute_upper_bounds(model, x)
+    box_mass = [m.cdf(b) for m, b in zip(model.margins, box)]
+    accepted: list[np.ndarray] = []
+    total_accepted = 0
+    proposed = 0
+    while total_accepted < num_accepted:
+        if proposed >= max_proposals:
+            rate = total_accepted / proposed
+            raise AcceptanceTooRareError(
+                f"only {total_accepted}/{num_accepted} acceptances after "
+                f"{proposed} proposals (rate {rate:.3g})",
+                acceptance_rate=rate,
+            )
+        m = int(min(batch_size, max_proposals - proposed))
+        U = gen.random((m, model.p))
+        Z = np.column_stack(
+            [mj.quantile(U[:, j] * box_mass[j]) for j, mj in enumerate(model.margins)]
+        )
+        X = max_linear_apply_batch(model.A, Z)
+        ok = (np.abs(X - x) <= epsilon * x).all(axis=1)
+        hits = Z[ok]
+        if hits.shape[0]:
+            accepted.append(hits)
+            total_accepted += hits.shape[0]
+        proposed += m
+    return np.vstack(accepted)[:num_accepted]
+
+
+# --- instances ---------------------------------------------------------------
+
+def ones_lower_triangular_model(n: int = 3) -> MaxLinearModel:
+    """The canonical n x n worked example: ones on and below the diagonal,
+    standard 1-Frechet margins."""
+    return validate_model(np.tril(np.ones((n, n))), [standard_frechet(1.0)] * n)
+
+
+def random_consistent_instance(gen: np.random.Generator, n: int, p: int):
+    """Random model (uniform entries with random zeros, Assumption A
+    repaired) together with a model-generated observation."""
+    A = gen.random((n, p))
+    A[gen.random((n, p)) < 0.35] = 0.0
+    for i in np.flatnonzero(~(A > 0).any(axis=1)):
+        A[i, gen.integers(p)] = gen.random() + 0.1
+    for j in np.flatnonzero(~(A > 0).any(axis=0)):
+        A[gen.integers(n), j] = gen.random() + 0.1
+    model = validate_model(A, [standard_frechet(1.0)] * p)
+    Z = 1.0 / -np.log(gen.random(p))
+    return model, (A * Z).max(axis=1), Z
+
+
+# --- checks of acceptance criteria 1-3 -----------------------------------------
+
+# the three canonical cases of the 3 x 3 worked example: x, hitting
+# matrix and relevant scenarios
+WORKED_EXAMPLES = (
+    ((1.0, 2.0, 3.0), np.eye(3, dtype=bool), [(0, 1, 2)]),
+    ((1.0, 1.0, 3.0), np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=bool), [(0, 2)]),
+    ((1.0, 1.0, 1.0), np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]], dtype=bool), [(0,)]),
+)
+
+
+def check_worked_examples(seed: int) -> dict:
+    """Criterion 1, on the 3 x 3 worked example.
+
+    Per case, the bounds equal x and the hitting matrix and the relevant
+    scenarios are the known ones. The draw patterns (streams (seed, 0..2))
+    are: (i) a point mass; (ii) z1 = 1, z3 = 3 and z2 strictly below 1,
+    since column 1 is the only candidate atom of its class; (iii) z1 = 1
+    with z2, z3 free below their bounds.
+
+    Returns {"cases": {"1,2,3": ok, ...}, "draw_patterns": ok}.
+    """
+    model = ones_lower_triangular_model()
+    cases = {}
+    for x, H_want, scen_want in WORKED_EXAMPLES:
+        x = np.array(x)
+        z_hat = compute_upper_bounds(model, x)
+        H = compute_hitting_matrix(model, x, z_hat)
+        label = ",".join(f"{v:g}" for v in x)
+        cases[label] = bool(
+            np.array_equal(z_hat, x)
+            and np.array_equal(H, H_want)
+            and enumerate_relevant_scenarios(H) == scen_want
+        )
+    Z_i, Z_ii, Z_iii = (
+        draw_conditional_batch(conditional_law(model, np.array(x)), num, RngStream(seed, k))[0]
+        for k, ((x, _, _), num) in enumerate(zip(WORKED_EXAMPLES, (200, 2000, 2000)))
+    )
+    patterns = (
+        np.all(Z_i == np.array([1.0, 2.0, 3.0]))
+        and np.all(Z_ii[:, 0] == 1.0)
+        and np.all(Z_ii[:, 2] == 3.0)
+        and np.all(Z_ii[:, 1] < 1.0)
+        and np.all(Z_iii[:, 0] == 1.0)
+        and np.all(Z_iii[:, 1:] <= 1.0)
+    )
+    return {"cases": cases, "draw_patterns": bool(patterns)}
+
+
+def check_product_form(gen: np.random.Generator, trials: int) -> dict:
+    """Criterion 2, on ``trials`` random instances (n <= 6, p <= 10) from
+    ``gen``: the cartesian product of the per-class candidate columns
+    against brute-force scenario enumeration, and the factorization gap.
+
+    Returns {"mismatches": count, "worst_gap": largest relative gap}.
+    """
+    mismatches = 0
+    worst_gap = 0.0
+    for _ in range(trials):
+        n = int(gen.integers(1, 7))
+        p = int(gen.integers(1, 11))
+        model, x, _ = random_consistent_instance(gen, n, p)
+        structure = hitting_structure(model, x)
+        if set(enumerate_relevant_scenarios(structure.H)) != product_form_scenarios(structure):
+            mismatches += 1
+        worst_gap = max(worst_gap, factorization_gap(model, x))
+    return {"mismatches": mismatches, "worst_gap": worst_gap}
+
+
+def check_exact_draws(gen: np.random.Generator, seed: int, trials: int) -> dict:
+    """Criterion 3, on ``trials`` random instances (n <= 8, p <= 12) from
+    ``gen``: the upper bound is the residuated maximal pre-image of x, and
+    trial t's draw, from stream (derived_seed(seed, t), 0), reproduces x
+    to 1e-9 relative.
+
+    Returns {"residuation_failures": count, "draw_failures": count}.
+    """
+    residuation_failures = 0
+    draw_failures = 0
+    for t in range(trials):
+        n = int(gen.integers(1, 9))
+        p = int(gen.integers(1, 13))
+        model, x, Z_true = random_consistent_instance(gen, n, p)
+        z_hat = compute_upper_bounds(model, x)
+        if not (
+            np.all(Z_true <= z_hat * (1.0 + 1e-12))
+            and np.allclose(max_linear_apply(model.A, z_hat), x, rtol=1e-12, atol=0.0)
+        ):
+            residuation_failures += 1
+        law = conditional_law(model, x)
+        Z, _ = draw_conditional_batch(law, 1, RngStream(derived_seed(seed, t), 0))
+        if (np.abs(max_linear_apply(model.A, Z[0]) - x) / x).max() > 1e-9:
+            draw_failures += 1
+    return {"residuation_failures": residuation_failures, "draw_failures": draw_failures}
+
+
+# --- validation suite -----------------------------------------------------------
+
+def validate_suite(seed: int = 0, trials: int = 100, epsilon: float = 0.01) -> dict:
+    """End-to-end self-checks; returns a machine-readable report.
+
+    Runs the checks of acceptance criteria 1-3 with ``seed`` and
+    ``trials``, a one-sample KS test of the rejection oracle (500
+    acceptances within ``epsilon``) on the worked example, and checks
+    that an inconsistent observation is rejected.
+    """
+    checks: list[dict] = []
+
+    def record(name: str, passed: bool, detail: str = "") -> None:
+        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
+    worked = check_worked_examples(seed)
+    for label, ok in worked["cases"].items():
+        record(f"worked example x=({label})", ok)
+    record("worked example draw patterns", worked["draw_patterns"])
+
+    product = check_product_form(np.random.default_rng(np.random.SeedSequence((seed, 2))), trials)
+    record("scenario sets: brute force == product form", product["mismatches"] == 0,
+           f"{product['mismatches']} mismatches / {trials} trials")
+    record("factorization identity", product["worst_gap"] <= 1e-10,
+           f"worst relative gap {product['worst_gap']:.3g}")
+
+    exact = check_exact_draws(
+        np.random.default_rng(np.random.SeedSequence((seed, 3))), seed, trials
+    )
+    record("residuation", exact["residuation_failures"] == 0,
+           f"{exact['residuation_failures']} failures / {trials} trials")
+    record("draw exactness", exact["draw_failures"] == 0,
+           f"{exact['draw_failures']} failures / {trials} trials")
+
+    # rejection oracle on the worked example, case (1,1,3): the free
+    # coordinate must match the truncated margin law
+    model3 = ones_lower_triangular_model()
+    accepts = 500
+    oracle = rejection_oracle(
+        model3, np.array([1.0, 1.0, 3.0]), epsilon, accepts, RngStream(seed, 2),
+        max_proposals=200_000_000,
+    )
+    margin = model3.margins[1]
+    trunc_cdf = lambda v: np.clip(margin.cdf(v) / margin.cdf(1.0), 0.0, 1.0)
+    ks = scipy_stats.kstest(oracle[:, 1], trunc_cdf).statistic
+    ks_cut = 1.95 / math.sqrt(accepts)  # ~0.1% KS critical value
+    record("rejection oracle KS (free coordinate)", ks < ks_cut,
+           f"KS {ks:.4f} vs cut {ks_cut:.4f} at {accepts} acceptances")
+
+    # corrupted observation must be rejected as out of range
+    try:
+        conditional_law(model3, np.array([1.0, 0.5, 3.0]))
+        record("inconsistent observation rejected", False, "no error raised")
+    except InconsistentObservationError:
+        record("inconsistent observation rejected", True)
+    except MaxLinearError as exc:  # wrong error class
+        record("inconsistent observation rejected", False, repr(exc))
+
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}

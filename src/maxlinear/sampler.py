@@ -16,21 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .conditional import ConditionalLaw, _joined, conditional_law
-from .errors import (
-    AcceptanceTooRareError,
-    DimensionMismatchError,
-    ZeroMassBelowBoundError,
-)
+from .errors import DimensionMismatchError, ZeroMassBelowBoundError
 from .hitting import DEFAULT_REL_TOL
 from .margins import MarginSpec, _columnwise
-from .model import (
-    MaxLinearModel,
-    check_coefficients,
-    max_linear_apply,
-    max_linear_apply_batch,
-    validate_model,
-    validate_observations,
-)
+from .model import check_coefficients, max_linear_apply_batch, validate_model
 
 # redraw rounds for truncated values that land on 0 or on their bound;
 # each round hits a value with probability of order 2**-52
@@ -117,20 +106,6 @@ def _truncated_matrix(
         values[rows, cols] = _columnwise([margins[j] for j in cols], "log_quantile", log_u)
 
 
-@dataclass(frozen=True)
-class ConditionalSample:
-    """One exact draw: factor vector plus the realized hitting scenario."""
-
-    z: np.ndarray
-    chosen: np.ndarray  # one column index per class, chosen[s] in J[s]
-
-
-def draw_conditional(law: ConditionalLaw, rng) -> ConditionalSample:
-    """Draw one exact sample from the conditional law (a batch of one)."""
-    Z, chosen = draw_conditional_batch(law, 1, rng)
-    return ConditionalSample(z=Z[0], chosen=chosen[0])
-
-
 def draw_conditional_batch(
     law: ConditionalLaw, num: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -159,73 +134,6 @@ def draw_conditional_batch(
     return Z, chosen
 
 
-def predict(B, sample: ConditionalSample) -> np.ndarray:
-    """Map one conditional sample through a prediction matrix."""
-    return max_linear_apply(B, sample.z)
-
-
-def rejection_oracle(
-    model: MaxLinearModel,
-    x,
-    epsilon: float,
-    num_accepted: int,
-    rng,
-    max_proposals: int = 1_000_000_000,
-    batch_size: int = 200_000,
-) -> np.ndarray:
-    """Independent statistical oracle for the conditional sampler.
-
-    Draws unconditional factor vectors and accepts those whose image
-    reproduces every observation within relative ``epsilon``. As epsilon
-    shrinks, the accepted law converges to the exact conditional law.
-    Acceptance is checked in observation space, which matches the exact
-    law only in the limit; keep epsilon small.
-
-    Returns the accepted factor vectors, shape (num_accepted, p).
-
-    Raises
-    ------
-    AcceptanceTooRareError
-        if ``max_proposals`` proposals are exhausted first; the error
-        carries the observed acceptance rate.
-    """
-    if not (0.0 < epsilon <= 0.1):
-        raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon}")
-    x = validate_observations(x, model.n)
-    gen = _as_generator(rng)
-    A = model.A
-    margins = model.margins
-    first = margins[0]
-    homogeneous = all(m is first or m == first for m in margins)
-    accepted: list[np.ndarray] = []
-    total_accepted = 0
-    proposed = 0
-    while total_accepted < num_accepted:
-        if proposed >= max_proposals:
-            rate = total_accepted / proposed
-            raise AcceptanceTooRareError(
-                f"only {total_accepted}/{num_accepted} acceptances after "
-                f"{proposed} proposals (rate {rate:.3g})",
-                acceptance_rate=rate,
-            )
-        m = int(min(batch_size, max_proposals - proposed))
-        U = gen.random((m, model.p))
-        if homogeneous:
-            Z = np.asarray(first.quantile(U))
-        else:
-            Z = np.column_stack(
-                [np.asarray(margins[j].quantile(U[:, j])) for j in range(model.p)]
-            )
-        X = max_linear_apply_batch(A, Z)
-        ok = (np.abs(X - x) <= epsilon * x).all(axis=1)
-        hits = Z[ok]
-        if hits.shape[0]:
-            accepted.append(hits)
-            total_accepted += hits.shape[0]
-        proposed += m
-    return np.vstack(accepted)[:num_accepted]
-
-
 # --- prediction jobs ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -233,7 +141,8 @@ class PredictionTask:
     """Observe X = x through A, predict B applied to the same factors.
 
     Columns of ``A`` without any positive entry are unconstrained by the
-    observations; they are drawn unconditionally from their margins.
+    observations; they are drawn unconditionally from their margins. A
+    ``B`` with zero rows, ``np.zeros((0, p))``, asks for the factors only.
     """
 
     A: np.ndarray
@@ -272,6 +181,9 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     The map skips the entries of ``B`` that cannot decide their row
     (see :func:`row_floors`); ``Y`` equals ``B (max-times) Z`` exactly.
     """
+    num = task.num_samples
+    if not isinstance(num, (int, np.integer)) or num < 1:
+        raise ValueError(f"num_samples must be an integer >= 1, got {num!r}")
     A = np.asarray(task.A, dtype=float)
     B = check_coefficients(task.B, "B")
     if A.shape[1] != B.shape[1]:
@@ -287,7 +199,7 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     free = np.flatnonzero(~observed)
     sub_model = validate_model(A[:, cond], [task.margins[j] for j in cond])
     law = conditional_law(sub_model, task.x, task.rel_tol)
-    num = int(task.num_samples)
+    num = int(num)
     Zc, _ = draw_conditional_batch(law, num, RngStream(task.seed, 0))
     if free.size:
         # column-major like Zc, so each column is copied or drawn contiguously;

@@ -18,7 +18,7 @@ from maxlinear import (
     standard_frechet,
 )
 from maxlinear.cli import main
-from maxlinear.experiments import ones_lower_triangular_model
+from maxlinear.oracles import ones_lower_triangular_model
 
 
 @pytest.fixture
@@ -42,6 +42,34 @@ def test_sample_command(model_files, capsys, tmp_path):
     assert lines[0].startswith("coordinate,median,mean")
     assert len(lines) == 4
     assert out.read_text().startswith("z_1,z_2,z_3")
+
+
+def test_sample_command_degenerate_case(model_files, capsys, tmp_path):
+    # x = (1, 2, 3) is a point mass: every draw and every median is x
+    model_path, obs_path = model_files
+    degenerate = tmp_path / "degenerate.csv"
+    degenerate.write_text("1.0,2.0,3.0\n")
+    out = tmp_path / "raw.csv"
+    assert main(["sample", "--model", model_path, "--obs", str(degenerate),
+                 "--num", "50", "--seed", "0", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [float(line.split(",")[1]) for line in lines[1:]] == [1.0, 2.0, 3.0]
+    rows = out.read_text().splitlines()
+    assert rows[0] == "z_1,z_2,z_3"
+    assert len(rows) == 51 and rows[1:] == [rows[1]] * 50
+
+
+def test_sample_command_csv_is_reproducible(model_files, capsys, tmp_path):
+    model_path, obs_path = model_files
+    b_path = tmp_path / "B.json"
+    b_path.write_text(json.dumps({"B": [[0.0, 1.0, 0.0]]}))
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        assert main(["sample", "--model", model_path, "--obs", obs_path,
+                     "--num", "25", "--seed", "123", "--predict", str(b_path),
+                     "--emit-z", "--out", str(path)]) == 0
+    assert paths[0].read_text().startswith("z_1,z_2,z_3,y_1\n")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_sample_command_deterministic(model_files, capsys):
@@ -91,6 +119,13 @@ def test_marma_quality_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["psi_sum"] == pytest.approx(3.4, abs=1e-9)
     assert doc["truncation_quality"] > 1 - 1e-12
+
+
+def test_marma_rejects_bad_count(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    save_marma_spec(MarmaSpec(phi=(0.5,), p=50, n_observed=15, N_horizon=4), spec_path)
+    assert main(["marma", "--spec", str(spec_path), "--num", "0"]) == 1
+    assert "error: num_samples must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_marma_predict_command(tmp_path, capsys):

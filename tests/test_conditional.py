@@ -7,26 +7,24 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from maxlinear import (
-    EmptyScenarioListError,
     Frechet,
-    TooLargeForBruteForceError,
     class_weights,
     conditional_law,
-    decompose,
-    enumerate_relevant_scenarios,
     hitting_structure,
-    max_linear_apply,
-    scenario_log_weights,
-    scenario_probabilities,
     standard_frechet,
     validate_model,
 )
 from maxlinear.conditional import class_log_weights
-from maxlinear.experiments import (
+from maxlinear.errors import EmptyScenarioListError, TooLargeForBruteForceError
+from maxlinear.hitting import decompose
+from maxlinear.model import max_linear_apply
+from maxlinear.oracles import (
+    enumerate_relevant_scenarios,
     factorization_gap,
     ones_lower_triangular_model,
     product_form_scenarios,
     random_consistent_instance,
+    scenario_probabilities,
 )
 
 TRIL3 = np.tril(np.ones((3, 3)))

@@ -3,17 +3,16 @@ import csv
 import numpy as np
 import pytest
 
-from maxlinear import MarmaSpec, RngStream, SamplingJob, run_sampling, summarize
+from maxlinear import MarmaSpec, RngStream, summarize
 from maxlinear.experiments import (
     bench_decomposition,
     coverage_experiment,
-    ones_lower_triangular_model,
     order_statistic_quantile,
     projection_bias_experiment,
     summary_rows,
-    validate_suite,
     write_sample_csv,
 )
+from maxlinear.oracles import validate_suite
 
 
 def test_order_statistic_quantile_convention():
@@ -57,50 +56,6 @@ def test_write_sample_csv(tmp_path):
         write_sample_csv(path)
 
 
-def test_run_sampling_degenerate_case(tmp_path):
-    model = ones_lower_triangular_model()
-    job = SamplingJob(
-        model=model,
-        x=np.array([1.0, 2.0, 3.0]),
-        num_samples=50,
-        seed=0,
-        out_path=str(tmp_path / "raw.csv"),
-    )
-    table, Z, Y = run_sampling(job)
-    assert Y is None
-    assert np.all(Z == np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(table.medians, [1.0, 2.0, 3.0])
-    assert (tmp_path / "raw.csv").exists()
-
-
-def test_run_sampling_deterministic(tmp_path):
-    model = ones_lower_triangular_model()
-    paths = []
-    for name in ("a.csv", "b.csv"):
-        job = SamplingJob(
-            model=model,
-            x=np.array([1.0, 1.0, 3.0]),
-            num_samples=25,
-            seed=123,
-            B=np.array([[0.0, 1.0, 0.0]]),
-            out_path=str(tmp_path / name),
-            emit_z=True,
-        )
-        run_sampling(job)
-        paths.append(tmp_path / name)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_run_sampling_rejects_bad_count():
-    with pytest.raises(ValueError):
-        run_sampling(SamplingJob(
-            model=ones_lower_triangular_model(),
-            x=np.array([1.0, 2.0, 3.0]),
-            num_samples=0,
-            seed=0,
-        ))
-
-
 def test_coverage_experiment_smoke():
     spec = MarmaSpec(phi=(0.5,), p=60, n_observed=20, N_horizon=5)
     out = coverage_experiment(spec, reps=8, num_samples=80, seed=2)
@@ -120,10 +75,11 @@ def test_projection_bias_experiment_smoke():
 
 
 def test_validate_suite_passes():
-    report = validate_suite(seed=5, trials=25, oracle_accepts=250, epsilon=0.02)
+    report = validate_suite(seed=5, trials=25, epsilon=0.02)
     assert report["passed"], report
     names = [c["name"] for c in report["checks"]]
     assert "factorization identity" in names
+    assert "worked example x=(1,1,3)" in names and "residuation" in names
 
 
 def test_bench_decomposition_smoke():

@@ -7,15 +7,13 @@ from maxlinear import (
     EmptyScenarioClassError,
     InconsistentObservationError,
     NumericalOverflowError,
-    compute_hitting_matrix,
-    compute_upper_bounds,
     conditional_law,
-    decompose,
     hitting_structure,
-    max_linear_apply,
     standard_frechet,
     validate_model,
 )
+from maxlinear.hitting import compute_hitting_matrix, compute_upper_bounds, decompose
+from maxlinear.model import max_linear_apply
 
 TRIL3 = np.tril(np.ones((3, 3)))
 

@@ -9,12 +9,11 @@ from maxlinear import (
     load_marma_spec,
     marma_coefficients,
     marma_design,
-    marma_truncation_quality,
     projection_predictor,
     save_marma_spec,
 )
 from maxlinear.errors import DimensionOverflowError
-from maxlinear.marma import require_pure_mar, simulate_marma_window
+from maxlinear.marma import marma_truncation_quality, require_pure_mar, simulate_marma_window
 
 MAR3 = (0.7, 0.5, 0.3)
 

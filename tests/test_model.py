@@ -11,13 +11,11 @@ from maxlinear import (
     ZeroColumnError,
     ZeroRowError,
     load_model,
-    max_linear_apply,
-    max_linear_apply_batch,
     save_model,
     standard_frechet,
     validate_model,
-    validate_observations,
 )
+from maxlinear.model import max_linear_apply, max_linear_apply_batch, validate_observations
 
 TRIL3 = np.tril(np.ones((3, 3)))
 

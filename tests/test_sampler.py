@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from maxlinear import (
-    AcceptanceTooRareError,
     DimensionMismatchError,
     Frechet,
     MarginSpec,
@@ -17,20 +16,21 @@ from maxlinear import (
     TabulatedContinuous,
     ZeroMassBelowBoundError,
     conditional_law,
-    draw_conditional,
     draw_conditional_batch,
-    max_linear_apply,
-    max_linear_apply_batch,
-    predict,
-    rejection_oracle,
     run_prediction,
     smith_design,
     standard_frechet,
     validate_model,
 )
-from maxlinear.experiments import ones_lower_triangular_model, random_consistent_instance
+from maxlinear.errors import AcceptanceTooRareError
+from maxlinear.hitting import compute_upper_bounds
 from maxlinear.margins import margin_from_dict
-from maxlinear.model import live_entries
+from maxlinear.model import live_entries, max_linear_apply, max_linear_apply_batch
+from maxlinear.oracles import (
+    ones_lower_triangular_model,
+    random_consistent_instance,
+    rejection_oracle,
+)
 from maxlinear.sampler import PredictionTask, _truncated_matrix, row_floors
 
 SITES7 = (
@@ -136,18 +136,18 @@ def triangular_law(x):
 def test_draw_case_i_degenerate():
     model, law = triangular_law([1.0, 2.0, 3.0])
     for k in range(20):
-        s = draw_conditional(law, RngStream(k))
-        assert np.array_equal(s.z, [1.0, 2.0, 3.0])
+        Z, _ = draw_conditional_batch(law, 1, RngStream(k))
+        assert np.array_equal(Z[0], [1.0, 2.0, 3.0])
 
 
 def test_draw_case_ii_pattern():
     model, law = triangular_law([1.0, 1.0, 3.0])
     seen = set()
     for k in range(200):
-        s = draw_conditional(law, RngStream(k))
-        assert s.z[0] == 1.0 and s.z[2] == 3.0
-        assert 0.0 < s.z[1] < 1.0
-        seen.add(round(s.z[1], 12))
+        z = draw_conditional_batch(law, 1, RngStream(k))[0][0]
+        assert z[0] == 1.0 and z[2] == 3.0
+        assert 0.0 < z[1] < 1.0
+        seen.add(round(z[1], 12))
     assert len(seen) > 150  # z_2 really is random
 
 
@@ -155,10 +155,10 @@ def test_draw_case_iii_pattern():
     model, law = triangular_law([1.0, 1.0, 1.0])
     z2 = []
     for k in range(200):
-        s = draw_conditional(law, RngStream(k))
-        assert s.z[0] == 1.0
-        assert 0.0 < s.z[1] < 1.0 and 0.0 < s.z[2] < 1.0
-        z2.append(s.z[1])
+        z = draw_conditional_batch(law, 1, RngStream(k))[0][0]
+        assert z[0] == 1.0
+        assert 0.0 < z[1] < 1.0 and 0.0 < z[2] < 1.0
+        z2.append(z[1])
     # independence smoke check: no constant coordinates
     assert np.std(z2) > 0
 
@@ -168,10 +168,11 @@ def test_chosen_column_always_candidate():
     for _ in range(20):
         model, x, _ = random_consistent_instance(gen, 4, 7)
         law = conditional_law(model, x)
-        s = draw_conditional(law, RngStream(int(gen.integers(1 << 30))))
+        Z, chosen = draw_conditional_batch(law, 1, RngStream(int(gen.integers(1 << 30))))
+        z, chosen = Z[0], chosen[0]
         for k in range(law.rank):
-            assert s.chosen[k] in law.structure.J[k]
-            assert s.z[s.chosen[k]] == law.z_hat[s.chosen[k]]
+            assert chosen[k] in law.structure.J[k]
+            assert z[chosen[k]] == law.z_hat[chosen[k]]
 
 
 def test_exactness_every_draw():
@@ -318,11 +319,11 @@ def test_draws_exact_where_the_cdf_underflows(alpha, x):
 
 def test_predict_consistency():
     model, law = triangular_law([1.0, 1.0, 3.0])
-    s = draw_conditional(law, RngStream(8))
-    assert np.allclose(predict(model.A, s), [1.0, 1.0, 3.0], rtol=1e-9)
-    assert np.array_equal(predict(np.zeros((2, 3)), s), [0.0, 0.0])
+    z = draw_conditional_batch(law, 1, RngStream(8))[0][0]
+    assert np.allclose(max_linear_apply(model.A, z), [1.0, 1.0, 3.0], rtol=1e-9)
+    assert np.array_equal(max_linear_apply(np.zeros((2, 3)), z), [0.0, 0.0])
     with pytest.raises(DimensionMismatchError):
-        predict(np.ones((1, 4)), s)
+        max_linear_apply(np.ones((1, 4)), z)
 
 
 def test_predicted_coordinate_mean_matches_quadrature():
@@ -342,8 +343,6 @@ def test_rejection_oracle_basics():
     acc = rejection_oracle(model, x, eps, 200, RngStream(21))
     assert acc.shape == (200, 3)
     # accepted coordinates never exceed the inflated upper bounds
-    from maxlinear import compute_upper_bounds
-
     z_cap = compute_upper_bounds(model, x * (1 + eps))
     assert np.all(acc <= z_cap * (1 + 1e-12))
 
@@ -438,6 +437,35 @@ def test_run_prediction_shape_errors():
             A=np.ones((1, 0)), B=np.ones((1, 0)), margins=(),
             x=np.array([1.0]), num_samples=1, seed=0,
         ))
+
+
+def test_run_prediction_rejects_bad_count():
+    # 0 gave empty arrays, -3 a NumPy error and 2.7 silently two samples
+    task = PredictionTask(
+        A=np.ones((1, 2)), B=np.ones((1, 2)), margins=(standard_frechet(1.0),) * 2,
+        x=np.array([1.0]), num_samples=1, seed=0,
+    )
+    for bad in (0, -3, 2.7):
+        with pytest.raises(ValueError, match="num_samples"):
+            run_prediction(dataclasses.replace(task, num_samples=bad))
+    assert run_prediction(dataclasses.replace(task, num_samples=np.int64(3))).Z.shape == (3, 2)
+
+
+def test_run_prediction_without_prediction_rows():
+    # a B with zero rows asks for Z only, drawn from stream (seed, 0) as
+    # draw_conditional_batch draws it; case (i) is a point mass
+    model = ones_lower_triangular_model()
+    for x in ([1.0, 2.0, 3.0], [1.0, 1.0, 3.0]):
+        x = np.array(x)
+        result = run_prediction(PredictionTask(
+            A=model.A, B=np.zeros((0, 3)), margins=model.margins, x=x,
+            num_samples=50, seed=4,
+        ))
+        Z, _ = draw_conditional_batch(conditional_law(model, x), 50, RngStream(4, 0))
+        assert result.Y.shape == (50, 0)
+        assert np.array_equal(result.Z, Z)
+        if x[1] == 2.0:
+            assert np.all(result.Z == x)
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])

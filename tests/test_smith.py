@@ -4,12 +4,11 @@ import pytest
 from maxlinear import (
     AssumptionAViolationError,
     SmithSpec,
-    cell_centers,
     load_smith_spec,
     save_smith_spec,
     smith_design,
-    smith_kernel,
 )
+from maxlinear.smith import cell_centers, smith_kernel
 
 SITES7 = (
     (0.3, 0.4),
