@@ -24,6 +24,10 @@ from .errors import (
 from .margins import MarginSpec, margin_from_dict
 
 
+# entries of a sample matrix handled at a time by a blocked loop (256 KiB)
+BLOCK_ELEMENTS = 2**15
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -177,17 +181,20 @@ def max_linear_apply_batch(A, Z, upper=None, floor=None) -> np.ndarray:
         )
     live = live_entries(A, upper, floor)
     # gathering rows of Z.T makes each maximum run over contiguous samples;
-    # for the column-major Z of the sampler each gathered row is contiguous too
+    # for the column-major Z of the sampler each gathered row is contiguous
+    # too. A row's live columns pass through one buffer a block at a time,
+    # so no temporary's size depends on how many entries are live.
     Zt = Z.T
+    block = max(1, BLOCK_ELEMENTS // max(Z.shape[0], 1))
+    buf = np.empty((block, Z.shape[0]))
+    out[:] = floor
     for i in range(A.shape[0]):
         cols = np.flatnonzero(live[i])
-        if cols.size:
-            terms = Zt[cols]
-            terms *= A[i, cols][:, None]
-            np.max(terms, axis=0, out=out[:, i])
-            np.maximum(out[:, i], floor[i], out=out[:, i])
-        else:
-            out[:, i] = floor[i]
+        for start in range(0, cols.size, block):
+            part = cols[start : start + block]
+            terms = np.take(Zt, part, axis=0, out=buf[: part.size], mode="clip")
+            terms *= A[i, part][:, None]
+            np.maximum(out[:, i], terms.max(axis=0), out=out[:, i])
     return out
 
 

@@ -19,7 +19,7 @@ from .conditional import ConditionalLaw, _joined, conditional_law
 from .errors import DimensionMismatchError, ZeroMassBelowBoundError
 from .hitting import DEFAULT_REL_TOL
 from .margins import MarginSpec, _columnwise
-from .model import check_coefficients, max_linear_apply_batch, validate_model
+from .model import BLOCK_ELEMENTS, check_coefficients, max_linear_apply_batch, validate_model
 
 # redraw rounds for truncated values that land on 0 or on their bound;
 # each round hits a value with probability of order 2**-52
@@ -66,7 +66,7 @@ def _truncated_matrix(
     Drawn in log space, as the log-quantile of log U + log F_j(bounds[j]),
     so a bound far in the lower tail, where F_j itself underflows, still
     has its exact truncated law. One (len(bounds), num) buffer holds U,
-    then log U + log F, before the margins map it; the result is its
+    then log U + log F and, block by block, the values; the result is its
     transpose, a column-major (num, len(bounds)) matrix, so that each
     column is contiguous. A value that floating point puts on 0 or on
     the bound (or NaN) is redrawn, for at most ``REDRAW_ROUNDS`` rounds.
@@ -89,7 +89,11 @@ def _truncated_matrix(
     with np.errstate(divide="ignore"):
         np.log(buf, out=buf)
     buf += log_f[:, None]
-    values = _columnwise(margins, "log_quantile", buf.T)
+    step = max(1, BLOCK_ELEMENTS // max(num, 1))
+    for start in range(0, bounds.size, step):
+        block = buf[start : start + step]
+        block[...] = _columnwise(margins[start : start + step], "log_quantile", block.T).T
+    values = buf.T
     for redraws in range(REDRAW_ROUNDS + 1):
         ok = values > 0.0
         ok &= values < bounds

@@ -67,14 +67,16 @@ def test_apply_shape_errors():
 
 def test_batch_matches_single():
     gen = np.random.default_rng(0)
-    A = gen.random((4, 6))
-    Z = gen.random((20, 6)) + 0.01
-    batch = max_linear_apply_batch(A, Z)
-    for k in range(20):
-        assert np.allclose(batch[k], max_linear_apply(A, Z[k]))
-    # bounds that hold for every sample leave the result unchanged
-    pruned = max_linear_apply_batch(A, Z, upper=Z.max(axis=0), floor=batch.min(axis=0))
-    assert np.array_equal(pruned, batch)
+    # 2000 samples put 16 columns in a block of the pruned map, so 60 take four
+    for num, p in ((20, 6), (2000, 60)):
+        A = gen.random((4, p))
+        Z = gen.random((num, p)) + 0.01
+        batch = max_linear_apply_batch(A, Z)
+        for k in range(num):
+            assert np.allclose(batch[k], max_linear_apply(A, Z[k]))
+        # bounds that hold for every sample leave the result unchanged
+        pruned = max_linear_apply_batch(A, Z, upper=Z.max(axis=0), floor=batch.min(axis=0))
+        assert np.array_equal(pruned, batch)
 
 
 @given(

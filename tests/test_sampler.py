@@ -24,7 +24,7 @@ from maxlinear import (
 )
 from maxlinear.errors import AcceptanceTooRareError
 from maxlinear.hitting import compute_upper_bounds
-from maxlinear.margins import margin_from_dict
+from maxlinear.margins import _columnwise, margin_from_dict
 from maxlinear.model import live_entries, max_linear_apply, max_linear_apply_batch
 from maxlinear.oracles import (
     ones_lower_triangular_model,
@@ -100,6 +100,16 @@ def test_truncated_matrix_heterogeneous_path():
     assert np.all(vals[:, 0] < 0.7) and np.all(vals[:, 1] < 1.3)
     assert np.all(vals > 0)
 
+
+
+def test_truncated_matrix_blocks_match_one_pass():
+    # 700 samples put 46 columns in a block, so 120 columns take three
+    margins = tuple(Frechet(2.0, 0.5) if j % 3 else standard_frechet(1.0) for j in range(120))
+    bounds = RngStream(5).generator().uniform(0.5, 3.0, 120)
+    vals = _truncated_matrix(margins, bounds, RngStream(6).generator(), 700)
+    log_u = np.log(RngStream(6).generator().random((120, 700)))
+    log_u += _columnwise(margins, "log_cdf", bounds)[:, None]
+    assert np.array_equal(vals, _columnwise(margins, "log_quantile", log_u.T))
 
 class _OnTheBound(MarginSpec):
     """Unit Frechet whose first ``calls`` quantile calls return the bound."""
