@@ -71,7 +71,7 @@ class EmptyScenarioListError(MaxLinearError):
 
 class ZeroMassBelowBoundError(MaxLinearError):
     """No value could be drawn below a truncation bound: the CDF mass
-    below it underflows to zero, or every redraw landed on the bound."""
+    below it underflows to zero, or a log-quantile returned NaN."""
 
 
 class AcceptanceTooRareError(MaxLinearError):

@@ -101,7 +101,8 @@ def write_sample_csv(path, Z=None, Y=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in data:
-            writer.writerow([repr(v) for v in row])
+            # Python floats print as the shortest text that round-trips
+            writer.writerow(row.tolist())
 
 
 def summary_rows(table: SummaryTable) -> list[dict]:

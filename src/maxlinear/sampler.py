@@ -16,14 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .conditional import ConditionalLaw, _joined, conditional_law
-from .errors import DimensionMismatchError, ZeroMassBelowBoundError
+from .errors import DimensionMismatchError, NegativeEntryError, ZeroMassBelowBoundError
 from .hitting import DEFAULT_REL_TOL
 from .margins import MarginSpec, _columnwise
 from .model import BLOCK_ELEMENTS, check_coefficients, max_linear_apply_batch, validate_model
-
-# redraw rounds for truncated values that land on 0 or on their bound;
-# each round hits a value with probability of order 2**-52
-REDRAW_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -66,16 +62,18 @@ def _truncated_matrix(
     Drawn in log space, as the log-quantile of log U + log F_j(bounds[j]),
     so a bound far in the lower tail, where F_j itself underflows, still
     has its exact truncated law. One (len(bounds), num) buffer holds U,
-    then log U + log F and, block by block, the values; the result is its
-    transpose, a column-major (num, len(bounds)) matrix, so that each
-    column is contiguous. A value that floating point puts on 0 or on
-    the bound (or NaN) is redrawn, for at most ``REDRAW_ROUNDS`` rounds.
+    then log U + log F and, block by block, the values clamped into
+    [nextafter(0, 1), nextafter(b, 0)]; the result is its transpose, a
+    column-major (num, len(bounds)) matrix. The exact value lies in
+    [0, b]: only rounding puts it on b, and nextafter(b, 0) is the exact
+    value rounded toward zero; only U = 0 or underflow puts it on 0. At
+    unit Frechet and b = 1e-20 the whole law lies within 1e-20 of b
+    (relative), far inside one ulp, so every value is nextafter(b, 0).
 
     Raises
     ------
     ZeroMassBelowBoundError
-        if the log-CDF at a bound is -inf, or if some value is still
-        outside (0, bound) after the last round.
+        if the log-CDF at a bound is -inf or a log-quantile is NaN.
     """
     log_f = _columnwise(margins, "log_cdf", bounds)
     empty = np.flatnonzero(log_f == -np.inf)
@@ -84,30 +82,24 @@ def _truncated_matrix(
             f"no mass below bound {bounds[empty[0]]} of column {empty[0]}: "
             "its log-CDF is -inf"
         )
+    below = np.nextafter(bounds, 0.0)[:, None]
+    tiny = np.nextafter(0.0, 1.0)
     buf = gen.random((bounds.size, num))
-    # U = 0 gives log U = -inf and the value 0, which is redrawn
+    # U = 0 gives log U = -inf and the value 0, which is clamped
     with np.errstate(divide="ignore"):
         np.log(buf, out=buf)
     buf += log_f[:, None]
     step = max(1, BLOCK_ELEMENTS // max(num, 1))
     for start in range(0, bounds.size, step):
-        block = buf[start : start + step]
-        block[...] = _columnwise(margins[start : start + step], "log_quantile", block.T).T
-    values = buf.T
-    for redraws in range(REDRAW_ROUNDS + 1):
-        ok = values > 0.0
-        ok &= values < bounds
-        if ok.all():
-            return values
-        cols, rows = np.nonzero(~ok.T)
-        if redraws == REDRAW_ROUNDS:
-            raise ZeroMassBelowBoundError(
-                f"no draw of column {cols[0]} fell strictly inside "
-                f"(0, {bounds[cols[0]]}) in {REDRAW_ROUNDS} redraw rounds"
-            )
-        with np.errstate(divide="ignore"):
-            log_u = np.log(gen.random(cols.size)) + log_f[cols]
-        values[rows, cols] = _columnwise([margins[j] for j in cols], "log_quantile", log_u)
+        stop = start + step
+        block = buf[start:stop]
+        block[...] = _columnwise(margins[start:stop], "log_quantile", block.T).T
+        np.minimum(block, below[start:stop], out=block)
+        np.maximum(block, tiny, out=block)
+        if np.isnan(block.max()):  # the clamps pass NaN through
+            j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
+            raise ZeroMassBelowBoundError(f"log-quantile of column {j} is NaN below {bounds[j]}")
+    return buf.T
 
 
 def draw_conditional_batch(
@@ -189,6 +181,8 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     if not isinstance(num, (int, np.integer)) or num < 1:
         raise ValueError(f"num_samples must be an integer >= 1, got {num!r}")
     A = np.asarray(task.A, dtype=float)
+    if A.ndim != 2:
+        raise DimensionMismatchError(f"A must be 2-d, got shape {A.shape}")
     B = check_coefficients(task.B, "B")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(
@@ -201,6 +195,10 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     observed = (A > 0).any(axis=0)
     cond = np.flatnonzero(observed)
     free = np.flatnonzero(~observed)
+    # validate_model checks the other columns; NaN != 0 is caught too
+    stray = free[(A[:, free] != 0).any(axis=0)]
+    if stray.size:
+        raise NegativeEntryError(f"A has negative or NaN entries in columns {stray.tolist()}")
     sub_model = validate_model(A[:, cond], [task.margins[j] for j in cond])
     law = conditional_law(sub_model, task.x, task.rel_tol)
     num = int(num)

@@ -47,11 +47,17 @@ def test_summarize_rejects_bad_levels():
 
 def test_write_sample_csv(tmp_path):
     path = tmp_path / "samples.csv"
-    write_sample_csv(path, Z=np.ones((2, 2)), Y=np.zeros((2, 1)))
+    Z = np.array([[1.0, 0.1 + 0.2], [5e-324, np.nextafter(3.0, 0.0)]])
+    Y = np.array([[0.0], [1e300 / 3.0]])
+    write_sample_csv(path, Z=Z, Y=Y)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["z_1", "z_2", "y_1"]
     assert len(rows) == 3
+    # every cell is a number that parses back to the very same float
+    cells = np.array([[float(c) for c in row] for row in rows[1:]])
+    assert np.array_equal(cells, np.hstack([Z, Y]))
+    assert rows[1] == ["1.0", "0.30000000000000004", "0.0"]
     with pytest.raises(ValueError):
         write_sample_csv(path)
 

@@ -111,31 +111,66 @@ def test_truncated_matrix_blocks_match_one_pass():
     log_u += _columnwise(margins, "log_cdf", bounds)[:, None]
     assert np.array_equal(vals, _columnwise(margins, "log_quantile", log_u.T))
 
-class _OnTheBound(MarginSpec):
-    """Unit Frechet whose first ``calls`` quantile calls return the bound."""
+class _FixedQuantile(MarginSpec):
+    """Unit Frechet whose quantile always returns ``value``."""
 
-    def __init__(self, bound, calls):
-        self.bound = bound
-        self.calls = calls
+    def __init__(self, value):
+        self.value = value
 
     def cdf(self, z):
         return standard_frechet(1.0).cdf(z)
 
     def quantile(self, u):
-        if self.calls > 0:
-            self.calls -= 1
-            return np.full(np.shape(u), self.bound)
-        return standard_frechet(1.0).quantile(u)
+        return np.full(np.shape(u), self.value)
 
 
-def test_truncated_matrix_redraws_are_bounded():
+def test_truncated_matrix_clamps_to_the_bound():
+    # a value rounded onto its bound becomes the float just below it, in
+    # every row; a NaN from a custom margin names its column
     bounds = np.array([1.0, 0.8])
-    stuck = (standard_frechet(1.0), _OnTheBound(0.8, calls=np.inf))
+    stuck = (standard_frechet(1.0), _FixedQuantile(0.8))
+    vals = _truncated_matrix(stuck, bounds, RngStream(4).generator(), 50)
+    assert np.all(vals[:, 1] == np.nextafter(0.8, 0.0))
+    assert np.all((vals[:, 0] > 0) & (vals[:, 0] < 1.0))
+    broken = (standard_frechet(1.0), _FixedQuantile(np.nan))
     with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
-        _truncated_matrix(stuck, bounds, RngStream(4).generator(), 50)
-    once = (standard_frechet(1.0), _OnTheBound(0.8, calls=1))
-    vals = _truncated_matrix(once, bounds, RngStream(4).generator(), 50)
-    assert np.all((vals > 0) & (vals < bounds))
+        _truncated_matrix(broken, bounds, RngStream(4).generator(), 50)
+
+
+def test_library_margins_never_return_nan():
+    # so only a custom margin can reach the NaN error of _truncated_matrix
+    log_u = np.array([-np.inf, -1e308, -1e5, -745.2, -1.0, -1e-300, -0.0, 0.0])
+    for m in (standard_frechet(1.0), Frechet(0.5, 3.0), Frechet(20.0, 0.2), _gamma2_margin()):
+        with np.errstate(over="ignore"):  # (-1e-300) ** -2 overflows to inf
+            assert not np.any(np.isnan(m.log_quantile(log_u)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log10_bounds=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=6),
+    alpha=st.floats(0.5, 20.0),
+    scale=st.floats(0.1, 10.0).filter(lambda c: c != 1.0),
+    tabulated=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_truncated_values_lie_strictly_inside(seed, log10_bounds, alpha, scale, tabulated):
+    # bounds from 1e-300 to 1e300: the clamp only moves values that fell
+    # on 0 or on the bound, and a bound without mass below it raises
+    bounds = 10.0 ** np.array(log10_bounds)
+    frechet, gamma2 = Frechet(alpha, scale), _gamma2_margin()
+    margins = tuple(gamma2 if t else frechet for t in tabulated[: bounds.size])
+    log_f = _columnwise(margins, "log_cdf", bounds)
+    if np.any(log_f == -np.inf):
+        with pytest.raises(ZeroMassBelowBoundError):
+            _truncated_matrix(margins, bounds, RngStream(seed).generator(), 40)
+        return
+    vals = _truncated_matrix(margins, bounds, RngStream(seed).generator(), 40)
+    assert np.all(np.isfinite(vals)) and np.all((vals > 0) & (vals < bounds))
+    with np.errstate(divide="ignore"):
+        log_u = np.log(RngStream(seed).generator().random((bounds.size, 40)))
+    raw = _columnwise(margins, "log_quantile", (log_u + log_f[:, None]).T)
+    inside = (raw > 0) & (raw < bounds)
+    assert np.array_equal(vals[inside], raw[inside])
 
 
 def triangular_law(x):
@@ -327,6 +362,18 @@ def test_draws_exact_where_the_cdf_underflows(alpha, x):
     _assert_exact_batch(model.A, x, law, Z, chosen)
 
 
+@pytest.mark.parametrize("alpha, s", [(1.0, 1e-20), (2.0, 1e-100), (0.5, 1e-300)])
+def test_draws_exact_where_the_law_is_narrower_than_an_ulp(alpha, s):
+    # the worked example x = (1, 1, 3) s: the truncated law of z_2 lies
+    # within far less than one ulp of zhat_2 = s, so every value of z_2
+    # is the float just below it
+    model = validate_model(np.tril(np.ones((3, 3))), [standard_frechet(alpha)] * 3)
+    x = np.array([1.0, 1.0, 3.0]) * s
+    law = conditional_law(model, x)
+    Z, chosen = draw_conditional_batch(law, 200, RngStream(1))
+    _assert_exact_batch(model.A, x, law, Z, chosen)
+
+
 def test_predict_consistency():
     model, law = triangular_law([1.0, 1.0, 3.0])
     z = draw_conditional_batch(law, 1, RngStream(8))[0][0]
@@ -476,6 +523,23 @@ def test_run_prediction_without_prediction_rows():
         assert np.array_equal(result.Z, Z)
         if x[1] == 2.0:
             assert np.all(result.Z == x)
+
+
+def test_run_prediction_checks_free_columns_and_the_shape_of_A():
+    # columns 1 and 2 have no positive entry, so they are free; their
+    # negative and NaN entries were never checked. A 1-d A raised IndexError
+    task = PredictionTask(
+        A=np.array([[1.0, -1.0, np.nan], [0.5, -2.0, np.nan]]), B=np.ones((1, 3)),
+        margins=(standard_frechet(1.0),) * 3, x=np.array([1.0, 0.5]),
+        num_samples=5, seed=0,
+    )
+    with pytest.raises(NegativeEntryError, match=r"columns \[1, 2\]"):
+        run_prediction(task)
+    A = np.array([[1.0, 0.0, np.nan]])
+    with pytest.raises(NegativeEntryError, match=r"columns \[2\]"):
+        run_prediction(dataclasses.replace(task, A=A, x=np.array([1.0])))
+    with pytest.raises(DimensionMismatchError, match="2-d"):
+        run_prediction(dataclasses.replace(task, A=np.ones(3), x=np.array([1.0])))
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
