@@ -28,6 +28,7 @@ from .experiments import (
     summary_rows,
     write_sample_csv,
 )
+from .hitting import DEFAULT_REL_TOL
 from .margins import standard_frechet
 from .marma import (
     load_marma_spec,
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw conditional samples")
     common(p, model=True, obs=True)
     p.add_argument("--num", type=int, default=1000)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--quantiles", default="0.5,0.95")
     p.add_argument("--predict", default=None, help="prediction matrix file")
     p.add_argument("--threshold", type=float, default=None)
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="show the conditional decomposition")
     common(p, model=True, obs=True)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("marma", help="time-series prediction experiments")
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smith", help="spatial-model conditional sampling")
     common(p, spec=True, obs=True)
     p.add_argument("--num", type=int, default=1000)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--quantiles", default="0.5,0.95")
     p.add_argument("--emit-z", action="store_true")
     p.set_defaults(func=cmd_smith)

@@ -6,8 +6,10 @@ computed here. It scales to thousands of factors and is what the sampler
 consumes. The brute-force scenario mixture that checks it on small
 instances lives in :mod:`maxlinear.oracles`.
 
-All weight arithmetic is done in log space: products of p CDF values
-underflow long before p reaches realistic sizes.
+The weights are computed in log space from one margin term per
+candidate column, log zhat_j + log(f_j / F_j)(zhat_j): at extreme
+scales f_j and F_j underflow while their ratio, and so the weights,
+stay finite.
 """
 
 from __future__ import annotations
@@ -31,35 +33,16 @@ def _joined(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(sets), starts
 
 
-def _joined_log_weights(
+def _log_candidate_terms(
     structure: HittingStructure, margins: Sequence[MarginSpec]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The log weights of :func:`class_log_weights`, joined end to end in
-    the order of ``structure.J``, and where each class starts."""
-    z_hat = structure.z_hat
-    log_pdf = _columnwise(margins, "log_pdf", z_hat)
-    log_cdf = _columnwise(margins, "log_cdf", z_hat)
+    """log zhat_j + log(f_j / F_j)(zhat_j) for the candidate columns of
+    every class, joined end to end in the order of ``structure.J``, and
+    where each class starts."""
     cols, starts = _joined(structure.J)
-    bar, bar_starts = _joined(structure.J_bar)
-    cdf_sum = np.repeat(
-        np.add.reduceat(log_cdf[bar], bar_starts), np.diff(starts, append=cols.size)
-    )
-    with np.errstate(divide="ignore"):
-        log_z = np.log(z_hat[cols])
-    return log_z + log_pdf[cols] + cdf_sum - log_cdf[cols], starts
-
-
-def class_log_weights(
-    structure: HittingStructure, margins: Sequence[MarginSpec]
-) -> list[np.ndarray]:
-    """Unnormalized log weights per class.
-
-    For j in J[s]:
-        log w_j = log zhat_j + log f_j(zhat_j)
-                  + sum over k in J_bar[s], k != j, of log F_k(zhat_k).
-    """
-    log_w, starts = _joined_log_weights(structure, margins)
-    return np.split(log_w, starts[1:])
+    z_hat = structure.z_hat
+    terms = _columnwise(margins, "log_reversed_hazard", z_hat)[cols]
+    return np.log(z_hat[cols]) + terms, starts
 
 
 def class_weights(
@@ -67,10 +50,13 @@ def class_weights(
 ) -> list[np.ndarray]:
     """Normalized mixture weights for each class (sum to one per class).
 
-    Every class is normalized at once, by segment reductions over the
-    joined log weights.
+    Candidate j of class s has weight proportional to
+        zhat_j f_j(zhat_j) * prod over k in J_bar[s], k != j, of F_k(zhat_k),
+    and the product over all of J_bar[s] is common to the class, so
+    w_j is proportional to zhat_j f_j(zhat_j) / F_j(zhat_j). Every class
+    is normalized at once, by segment reductions in log space.
     """
-    log_w, starts = _joined_log_weights(structure, margins)
+    log_w, starts = _log_candidate_terms(structure, margins)
     top = np.maximum.reduceat(log_w, starts)
     vanished = np.flatnonzero(~np.isfinite(top))
     if vanished.size:

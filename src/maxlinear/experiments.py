@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hitting import DEFAULT_REL_TOL, hitting_structure
+from .hitting import hitting_structure
 from .margins import standard_frechet
 from .marma import (
     MarmaSpec,
@@ -124,11 +124,24 @@ def summary_rows(table: SummaryTable) -> list[dict]:
 
 # --- MARMA experiments ------------------------------------------------------
 
-def _marma_setup(spec: MarmaSpec):
+COVERAGE_LEVEL = 0.95  # quantile level of the coverage experiment's upper bound
+
+
+def _marma_predictions(spec: MarmaSpec, reps: int, num_samples: int, seed: int):
+    """Per repetition r: simulate a window from stream (seed, r), condition
+    on its observed part and draw the horizon with sample seed
+    ``derived_seed(seed, r)``. Yields (x_obs, y_true, Y)."""
     psi = marma_coefficients(spec.phi, spec.theta, spec.p)
     A, B = marma_design(psi, spec.n_observed, spec.N_horizon)
     margins = (standard_frechet(1.0),) * A.shape[1]
-    return psi, A, B, margins
+    for rep in range(reps):
+        gen = RngStream(seed, rep).generator()
+        _, x_obs, y_true = simulate_marma_window(psi, spec.n_observed, spec.N_horizon, gen)
+        task = PredictionTask(
+            A=A, B=B, margins=margins, x=x_obs,
+            num_samples=num_samples, seed=derived_seed(seed, rep),
+        )
+        yield x_obs, y_true, run_prediction(task).Y
 
 
 def coverage_experiment(
@@ -136,29 +149,20 @@ def coverage_experiment(
     reps: int = 200,
     num_samples: int = 500,
     seed: int = 0,
-    upper_level: float = 0.95,
 ) -> dict:
     """Coverage of the conditional upper-quantile bound on simulated paths.
 
     Per repetition: simulate a truncated path, condition on the observed
     window, draw samples of the horizon, and record per lag whether the
-    true future value lies below the upper quantile, plus the interval
-    width (upper quantile minus the smallest sampled value).
+    true future value lies below the 0.95 quantile, plus the interval
+    width (that quantile minus the smallest sampled value).
     """
-    psi, A, B, margins = _marma_setup(spec)
     N = spec.N_horizon
     covered = np.zeros(N)
     widths = np.zeros(N)
-    for rep in range(reps):
-        gen = RngStream(seed, rep).generator()
-        _, x_obs, y_true = simulate_marma_window(psi, spec.n_observed, N, gen)
-        task = PredictionTask(
-            A=A, B=B, margins=margins, x=x_obs,
-            num_samples=num_samples, seed=derived_seed(seed, rep),
-        )
-        Y = run_prediction(task).Y
+    for _, y_true, Y in _marma_predictions(spec, reps, num_samples, seed):
         srt = np.sort(Y, axis=0)
-        upper = order_statistic_quantile(srt, upper_level)
+        upper = order_statistic_quantile(srt, COVERAGE_LEVEL)
         covered += y_true <= upper
         widths += upper - srt[0]
     return {
@@ -167,7 +171,7 @@ def coverage_experiment(
         "width": widths / reps,
         "reps": reps,
         "num_samples": num_samples,
-        "upper_level": upper_level,
+        "upper_level": COVERAGE_LEVEL,
     }
 
 
@@ -186,19 +190,11 @@ def projection_bias_experiment(
     underestimation effect).
     """
     require_pure_mar(spec)
-    psi, A, B, margins = _marma_setup(spec)
     N = spec.N_horizon
     cumulative = np.zeros(N)
     below_median = np.zeros(N)
-    for rep in range(reps):
-        gen = RngStream(seed, rep).generator()
-        _, x_obs, _ = simulate_marma_window(psi, spec.n_observed, N, gen)
+    for x_obs, _, Y in _marma_predictions(spec, reps, num_samples, seed):
         x_hat = projection_predictor(spec.phi, x_obs, N)
-        task = PredictionTask(
-            A=A, B=B, margins=margins, x=x_obs,
-            num_samples=num_samples, seed=derived_seed(seed, rep),
-        )
-        Y = run_prediction(task).Y
         cumulative += (Y <= x_hat).mean(axis=0)
         medians = order_statistic_quantile(np.sort(Y, axis=0), 0.5)
         # non-strict: at short lags the conditional median is an atom
@@ -231,7 +227,6 @@ def bench_decomposition(
     p_list=(2500, 10000),
     draws: int = 100,
     seed: int = 0,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> list[dict]:
     """Mean/std wall time of upper bounds + hitting matrix + decomposition,
     per (n, p) cell, over model-generated observations.
@@ -254,7 +249,7 @@ def bench_decomposition(
             best = np.inf
             for _ in range(3):  # best-of-3 damps clock and allocator noise
                 t0 = time.perf_counter()
-                hitting_structure(model, x, rel_tol)
+                hitting_structure(model, x)
                 best = min(best, time.perf_counter() - t0)
             if d >= 0:
                 times[c, d] = best

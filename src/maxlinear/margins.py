@@ -22,8 +22,6 @@ DENSITY_TOL = 1e-9
 class MarginSpec:
     """Common interface for margins: cdf, pdf, quantile and log variants."""
 
-    kind: str = "abstract"
-
     def cdf(self, z):
         raise NotImplementedError
 
@@ -41,6 +39,12 @@ class MarginSpec:
         with np.errstate(divide="ignore"):
             return np.log(self.pdf(z))
 
+    def log_reversed_hazard(self, z):
+        """log(f / F)(z), the log of the reversed hazard rate: the one
+        margin term of the class weights. Undefined (NaN) where F = 0."""
+        with np.errstate(invalid="ignore"):
+            return self.log_pdf(z) - self.log_cdf(z)
+
     def log_quantile(self, log_u):
         """Quantile at ``exp(log_u)``: the inverse of ``log_cdf``."""
         return self.quantile(np.exp(log_u))
@@ -54,15 +58,14 @@ class Frechet(MarginSpec):
     """Frechet law with shape ``alpha`` and scale ``scale``.
 
     CDF: F(z) = exp(-scale^alpha * z^(-alpha)) for z > 0.
-    Density: f(z) = alpha * scale^alpha * z^(-alpha-1) * F(z).
+    Density: f(z) = alpha * scale^alpha * z^(-alpha-1) * F(z), so the
+    reversed hazard f / F = alpha * scale^alpha * z^(-alpha-1) needs no CDF.
     Quantile: Q(u) = scale * (-ln u)^(-1/alpha), so that
     Q(exp(l)) = scale * (-l)^(-1/alpha) needs no exponential.
     """
 
     alpha: float
     scale: float = 1.0
-
-    kind = "frechet"
 
     def __post_init__(self):
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
@@ -80,17 +83,15 @@ class Frechet(MarginSpec):
     def cdf(self, z):
         return np.exp(self.log_cdf(z))
 
+    def log_reversed_hazard(self, z):
+        # finite for every positive finite z, where F(z) may underflow
+        log_c = np.log(self.alpha) + self.alpha * np.log(self.scale)
+        return log_c - (self.alpha + 1.0) * np.log(z)
+
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(
-                z > 0,
-                np.log(self.alpha)
-                + self.alpha * np.log(self.scale)
-                - (self.alpha + 1.0) * np.log(np.where(z > 0, z, 1.0))
-                - self.scale**self.alpha * np.where(z > 0, z, 1.0) ** -self.alpha,
-                -np.inf,
-            )
+        zp = np.where(z > 0, z, 1.0)
+        out = np.where(z > 0, self.log_reversed_hazard(zp) + self.log_cdf(zp), -np.inf)
         return out if out.ndim else float(out)
 
     def pdf(self, z):
@@ -127,8 +128,6 @@ class TabulatedContinuous(MarginSpec):
     zero outside; it must integrate to one within ``DENSITY_TOL`` under
     the trapezoid rule (no silent renormalization).
     """
-
-    kind = "tabulated"
 
     def __init__(self, grid, density):
         grid = np.asarray(grid, dtype=float)

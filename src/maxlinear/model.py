@@ -107,12 +107,12 @@ def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
     return MaxLinearModel(A=_readonly(A), margins=margins)
 
 
-def validate_observations(x, n: int | None = None) -> np.ndarray:
+def validate_observations(x, n: int) -> np.ndarray:
     """Validate an observation vector: finite, strictly positive reals."""
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatchError(f"x must be 1-d, got shape {x.shape}")
-    if n is not None and x.size != n:
+    if x.size != n:
         raise DimensionMismatchError(f"expected {n} observations, got {x.size}")
     # min > 0 rejects NaN and nonpositive values, max < inf rejects +inf
     if x.size and not (x.min() > 0.0 and x.max() < np.inf):

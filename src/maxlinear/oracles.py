@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 from scipy.special import logsumexp
 
-from .conditional import class_log_weights, conditional_law
+from .conditional import _log_candidate_terms, conditional_law
 from .errors import (
     AcceptanceTooRareError,
     EmptyScenarioListError,
@@ -48,24 +48,23 @@ from .model import (
 from .sampler import RngStream, _as_generator, draw_conditional_batch
 
 BRUTE_FORCE_COLUMN_CAP = 20
+REJECTION_BATCH = 200_000  # proposals per vectorized round
 
 
 # --- brute-force scenario law ---------------------------------------------
 
-def enumerate_relevant_scenarios(
-    H, max_columns: int = BRUTE_FORCE_COLUMN_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_relevant_scenarios(H) -> list[tuple[int, ...]]:
     """All minimum-cardinality column subsets covering every row of H.
 
     Exhaustive search in increasing cardinality order; exponential in p,
-    capped at ``max_columns`` columns because this exists only as an
-    oracle for the factorized decomposition.
+    capped at ``BRUTE_FORCE_COLUMN_CAP`` columns because this exists only
+    as an oracle for the factorized decomposition.
     """
     H = np.asarray(H, dtype=bool)
     n, p = H.shape
-    if p > max_columns:
+    if p > BRUTE_FORCE_COLUMN_CAP:
         raise TooLargeForBruteForceError(
-            f"p = {p} exceeds brute-force cap {max_columns}"
+            f"p = {p} exceeds brute-force cap {BRUTE_FORCE_COLUMN_CAP}"
         )
     col_masks = []
     for j in range(p):
@@ -149,11 +148,19 @@ def scenario_probabilities(
 
 def factorization_gap(model: MaxLinearModel, x, rel_tol=DEFAULT_REL_TOL) -> float:
     """Relative error between the enumerated total scenario weight and
-    the per-class product form (they are equal in exact arithmetic)."""
+    the per-class product form (they are equal in exact arithmetic): per
+    class s, the sum of the ``class_weights`` terms over J[s] times the
+    product of F_k(zhat_k) over J_bar[s], a factor that normalization
+    cancels and only this check needs."""
     structure = hitting_structure(model, x, rel_tol)
     scenarios = enumerate_relevant_scenarios(structure.H)
     log_total = logsumexp(scenario_log_weights(scenarios, model.margins, structure.z_hat))
-    log_prod = sum(logsumexp(lw) for lw in class_log_weights(structure, model.margins))
+    terms, starts = _log_candidate_terms(structure, model.margins)
+    log_cdf = _columnwise(model.margins, "log_cdf", structure.z_hat)
+    log_prod = sum(
+        logsumexp(t) + log_cdf[bar].sum()
+        for t, bar in zip(np.split(terms, starts[1:]), structure.J_bar)
+    )
     return abs(math.expm1(log_total - log_prod))
 
 
@@ -174,7 +181,6 @@ def rejection_oracle(
     num_accepted: int,
     rng,
     max_proposals: int = 1_000_000_000,
-    batch_size: int = 200_000,
 ) -> np.ndarray:
     """Independent statistical oracle for the conditional sampler.
 
@@ -215,7 +221,7 @@ def rejection_oracle(
                 f"{proposed} proposals (rate {rate:.3g})",
                 acceptance_rate=rate,
             )
-        m = int(min(batch_size, max_proposals - proposed))
+        m = int(min(REJECTION_BATCH, max_proposals - proposed))
         U = gen.random((m, model.p))
         Z = np.column_stack(
             [mj.quantile(U[:, j] * box_mass[j]) for j, mj in enumerate(model.margins)]

@@ -38,9 +38,6 @@ class RngStream:
             np.random.SeedSequence(entropy=(int(self.seed), int(self.stream_id)))
         )
 
-    def substream(self, stream_id: int) -> "RngStream":
-        return RngStream(seed=self.seed, stream_id=stream_id)
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):

@@ -8,14 +8,18 @@ from scipy.special import logsumexp
 
 from maxlinear import (
     Frechet,
+    TabulatedContinuous,
     class_weights,
     conditional_law,
     hitting_structure,
     standard_frechet,
     validate_model,
 )
-from maxlinear.conditional import class_log_weights
-from maxlinear.errors import EmptyScenarioListError, TooLargeForBruteForceError
+from maxlinear.errors import (
+    EmptyScenarioListError,
+    NumericalOverflowError,
+    TooLargeForBruteForceError,
+)
 from maxlinear.hitting import decompose
 from maxlinear.model import max_linear_apply
 from maxlinear.oracles import (
@@ -28,6 +32,13 @@ from maxlinear.oracles import (
 )
 
 TRIL3 = np.tril(np.ones((3, 3)))
+
+
+def _gamma2_margin():
+    grid = np.linspace(0.0, 20.0, 401)
+    density = grid * np.exp(-grid)
+    density /= np.sum(np.diff(grid) * (density[:-1] + density[1:]) / 2.0)
+    return TabulatedContinuous(grid, density)
 
 
 def test_singleton_classes_have_unit_weight():
@@ -77,6 +88,16 @@ def test_frechet_shortcut_matches_general_path():
         closed = frechet_weights(law.structure, 1.0, 1.0)
         for a, b in zip(closed, law.weights):
             assert np.allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, x", [(4.0, 1e-100), (20.0, 1e-16)])
+def test_frechet_weights_where_the_cdf_underflows(alpha, x):
+    # at zhat = (x, x/2) both f and F underflow; their ratio, and so the
+    # weights 1 : 2^alpha, stay finite
+    model = validate_model([[1.0, 2.0]], [Frechet(alpha=alpha)] * 2)
+    law = conditional_law(model, np.array([x]))
+    big = 2.0**alpha
+    np.testing.assert_allclose(law.weights[0], [1 / (1 + big), big / (1 + big)], rtol=1e-12)
 
 
 def test_frechet_shortcut_with_scales():
@@ -150,10 +171,28 @@ def test_factorization_identity_random():
         assert factorization_gap(model, x) <= 1e-10
 
 
-def test_scenario_law_matches_class_factorization():
-    # scenario probabilities equal the product of per-class weights
-    gen = np.random.default_rng(47)
-    model, x, _ = random_consistent_instance(gen, 4, 5)
+MARGIN_POOLS = st.lists(
+    st.one_of(
+        st.builds(Frechet, alpha=st.floats(0.5, 20.0), scale=st.floats(0.2, 5.0)),
+        st.just(_gamma2_margin()),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(seed=st.integers(0, 2**32 - 1), pool=MARGIN_POOLS)
+@settings(max_examples=60, deadline=None)
+def test_scenario_law_matches_class_factorization(seed, pool):
+    # scenario probabilities equal the product of per-class weights, for
+    # Frechet margins (closed-form reversed hazard) and a tabulated one
+    # (the default, log_pdf - log_cdf)
+    gen = np.random.default_rng(seed)
+    A = random_consistent_instance(gen, int(gen.integers(1, 6)), int(gen.integers(1, 9)))[0].A
+    margins = [pool[k] for k in gen.integers(len(pool), size=A.shape[1])]
+    model = validate_model(A, margins)
+    z = np.array([m.quantile(u) for m, u in zip(margins, gen.random(A.shape[1]))])
+    x = max_linear_apply(model.A, z)
     s = hitting_structure(model, x)
     law = scenario_probabilities(
         enumerate_relevant_scenarios(s.H), model.margins, s.z_hat
@@ -167,6 +206,32 @@ def test_scenario_law_matches_class_factorization():
         assert prob == pytest.approx(expected, rel=1e-9)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log10_scale=st.floats(-300.0, 300.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_frechet_weights_at_every_scale(seed, log10_scale):
+    # class weights are proportional to alpha_j (scale_j / zhat_j)^alpha_j
+    # however far the observations sit from the margins' scales
+    gen = np.random.default_rng(seed)
+    model, x, _ = random_consistent_instance(
+        gen, int(gen.integers(1, 6)), int(gen.integers(1, 9))
+    )
+    alphas = gen.uniform(0.5, 20.0, model.p)
+    scales = gen.uniform(0.2, 5.0, model.p)
+    model = validate_model(model.A, [Frechet(a, s) for a, s in zip(alphas, scales)])
+    try:
+        law = conditional_law(model, x * 10.0**log10_scale)
+    except NumericalOverflowError:
+        return  # some zhat_j = x_i / a_ij exceeds the largest float
+    log_w = np.log(alphas) + alphas * (np.log(scales) - np.log(law.z_hat))
+    for js, w in zip(law.structure.J, law.weights):
+        assert np.all(np.isfinite(w)) and abs(w.sum() - 1.0) <= 1e-12
+        closed = np.exp(log_w[js] - logsumexp(log_w[js]))
+        np.testing.assert_allclose(w, closed, rtol=1e-9, atol=1e-12)
+
+
 def test_log_weights_no_underflow_at_scale():
     # p large enough that the product of CDFs underflows in linear space
     p = 20000
@@ -175,9 +240,6 @@ def test_log_weights_no_underflow_at_scale():
     model = validate_model(A, [standard_frechet(1.0)] * p)
     z = 1.0 / -np.log(gen.random(p))
     x = max_linear_apply(model.A, z)
-    s = hitting_structure(model, x)
-    log_w = class_log_weights(s, model.margins)
-    assert all(np.isfinite(logsumexp(lw)) for lw in log_w)
     law = conditional_law(model, x)
     assert all(abs(w.sum() - 1.0) <= 1e-12 for w in law.weights)
 

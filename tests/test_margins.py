@@ -100,6 +100,7 @@ def test_frechet_log_forms_consistent():
     z = np.array([0.3, 1.0, 4.0])
     assert np.allclose(np.exp(m.log_pdf(z)), m.pdf(z))
     assert np.allclose(np.exp(m.log_cdf(z)), m.cdf(z))
+    assert np.allclose(m.log_reversed_hazard(z), m.log_pdf(z) - m.log_cdf(z), rtol=1e-14)
 
 
 def _triangle_margin():

@@ -50,7 +50,6 @@ def test_rng_stream_reproducible_and_split():
     assert np.array_equal(a, b)
     c = RngStream(17, 1).generator().random(5)
     assert not np.array_equal(a, c)
-    assert RngStream(17).substream(3) == RngStream(17, 3)
 
 
 def test_truncated_draw_respects_bound():
