@@ -21,6 +21,7 @@ import numpy as np
 from .conditional import conditional_law
 from .errors import MaxLinearError
 from .experiments import (
+    _marma_predictions,
     bench_decomposition,
     coverage_experiment,
     projection_bias_experiment,
@@ -30,15 +31,9 @@ from .experiments import (
 )
 from .hitting import DEFAULT_REL_TOL
 from .margins import standard_frechet
-from .marma import (
-    load_marma_spec,
-    marma_coefficients,
-    marma_design,
-    marma_truncation_quality,
-    simulate_marma_window,
-)
-from .model import load_model, validate_model
-from .sampler import PredictionTask, RngStream, run_prediction
+from .marma import load_marma_spec, marma_coefficients, marma_truncation_quality
+from .model import load_model
+from .sampler import PredictionTask, run_prediction
 from .smith import load_smith_spec, smith_design
 
 
@@ -82,13 +77,14 @@ def _jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _sample_and_report(args, model, x, B, threshold=None) -> int:
-    """Draw through ``run_prediction``, write the raw CSV if asked and
-    print the summary: of ``Y`` when ``B`` has rows, of ``Z`` otherwise."""
+def _sample_and_report(args, A, margins, x, B, threshold=None) -> int:
+    """Draw through ``run_prediction``, which validates the inputs, write
+    the raw CSV if asked and print the summary: of ``Y`` when ``B`` has
+    rows, of ``Z`` otherwise."""
     result = run_prediction(PredictionTask(
-        A=model.A,
+        A=A,
         B=B,
-        margins=model.margins,
+        margins=margins,
         x=x,
         num_samples=args.num,
         seed=args.seed,
@@ -106,7 +102,7 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     x = _load_vector(args.obs)
     B = _load_matrix(args.predict) if args.predict else np.zeros((0, model.p))
-    return _sample_and_report(args, model, x, B, args.threshold)
+    return _sample_and_report(args, model.A, model.margins, x, B, args.threshold)
 
 
 def cmd_inspect(args) -> int:
@@ -143,20 +139,9 @@ def cmd_marma(args) -> int:
         doc = projection_bias_experiment(
             spec, reps=args.reps, num_samples=args.num, seed=args.seed
         )
-    else:  # one conditional run on a simulated window
-        psi = marma_coefficients(spec.phi, spec.theta, spec.p)
-        A, B = marma_design(psi, spec.n_observed, spec.N_horizon)
-        gen = RngStream(args.seed, 0).generator()
-        _, x_obs, y_true = simulate_marma_window(psi, spec.n_observed, spec.N_horizon, gen)
-        task = PredictionTask(
-            A=A,
-            B=B,
-            margins=(standard_frechet(1.0),) * A.shape[1],
-            x=x_obs,
-            num_samples=args.num,
-            seed=args.seed + 1,
-        )
-        table = summarize(run_prediction(task).Y, (0.5, 0.95))
+    else:  # repetition 0 of the coverage and projection loop
+        x_obs, y_true, Y = next(_marma_predictions(spec, 1, args.num, args.seed))
+        table = summarize(Y, (0.5, 0.95))
         doc = {
             "observed": x_obs,
             "true_future": y_true,
@@ -170,10 +155,8 @@ def cmd_marma(args) -> int:
 def cmd_smith(args) -> int:
     spec = load_smith_spec(args.spec)
     design = smith_design(spec)
-    model = validate_model(
-        design.A, [standard_frechet(spec.alpha)] * design.A.shape[1]
-    )
-    return _sample_and_report(args, model, _load_vector(args.obs), design.B)
+    margins = (standard_frechet(spec.alpha),) * design.A.shape[1]
+    return _sample_and_report(args, design.A, margins, _load_vector(args.obs), design.B)
 
 
 def cmd_validate(args) -> int:
@@ -203,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, spec=False, obs=False):
+    def common(p, model=False, spec=False, obs=False, draws=False):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         if spec:
@@ -212,15 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--obs", required=True, help="observation CSV (one row)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file")
+        if draws:
+            p.add_argument("--num", type=int, default=1000)
+            p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
+            p.add_argument("--quantiles", default="0.5,0.95")
+            p.add_argument("--emit-z", action="store_true")
 
     p = sub.add_parser("sample", help="draw conditional samples")
-    common(p, model=True, obs=True)
-    p.add_argument("--num", type=int, default=1000)
-    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
-    p.add_argument("--quantiles", default="0.5,0.95")
+    common(p, model=True, obs=True, draws=True)
     p.add_argument("--predict", default=None, help="prediction matrix file")
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--emit-z", action="store_true")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("inspect", help="show the conditional decomposition")
@@ -239,11 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_marma)
 
     p = sub.add_parser("smith", help="spatial-model conditional sampling")
-    common(p, spec=True, obs=True)
-    p.add_argument("--num", type=int, default=1000)
-    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
-    p.add_argument("--quantiles", default="0.5,0.95")
-    p.add_argument("--emit-z", action="store_true")
+    common(p, spec=True, obs=True, draws=True)
     p.set_defaults(func=cmd_smith)
 
     p = sub.add_parser("validate", help="run the self-check suite")

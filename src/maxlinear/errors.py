@@ -23,12 +23,12 @@ class ZeroColumnError(MaxLinearError):
     """A column of the coefficient matrix has no strictly positive entry."""
 
 
-class MarginCountMismatchError(MaxLinearError):
-    """Number of margin specifications does not match the column count."""
-
-
 class DimensionMismatchError(MaxLinearError):
     """Operands have incompatible shapes."""
+
+
+class MarginCountMismatchError(DimensionMismatchError):
+    """Number of margin specifications does not match the column count."""
 
 
 class DensityNormalizationError(MaxLinearError):

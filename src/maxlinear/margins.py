@@ -98,15 +98,9 @@ class Frechet(MarginSpec):
         return np.exp(self.log_pdf(z))
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
+        # u <= 0 clips to log 0 = -inf and Q = 0
         with np.errstate(divide="ignore"):
-            out = np.where(
-                u <= 0.0,
-                0.0,
-                # 0 - log u rather than -log u: u = 1 gives +0 and Q = +inf
-                self.scale * (0.0 - np.log(np.clip(u, 0.0, 1.0))) ** (-1.0 / self.alpha),
-            )
-        return out if out.ndim else float(out)
+            return self.log_quantile(np.log(np.clip(u, 0.0, 1.0)))
 
     def log_quantile(self, log_u):
         # one allocation, then in place: this is the truncated-draw kernel.

@@ -29,7 +29,9 @@ BLOCK_ELEMENTS = 2**15
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only C-ordered copy: the caller's array stays writeable, and
+    later writes to it (or to the base of a view) do not reach the copy."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -62,16 +64,18 @@ def check_coefficients(M, name: str) -> np.ndarray:
     DimensionMismatchError
         if ``M`` is not 2-d.
     NegativeEntryError
-        if any entry is negative or non-finite.
+        if any entry is negative or non-finite; the message names the
+        offending columns.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-d, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NegativeEntryError(f"{name} contains non-finite entries")
-    if np.any(M < 0):
-        i, j = np.argwhere(M < 0)[0]
-        raise NegativeEntryError(f"{name}[{i},{j}] = {M[i, j]} is negative")
+    # min >= 0 rejects NaN and negative values, max < inf rejects +inf
+    if M.size and not (M.min() >= 0.0 and M.max() < np.inf):
+        bad = np.flatnonzero(~((M >= 0.0) & (M < np.inf)).all(axis=0))
+        raise NegativeEntryError(
+            f"{name} has negative or non-finite entries in columns {bad.tolist()}"
+        )
     return M
 
 
@@ -108,8 +112,10 @@ def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
 
 
 def validate_observations(x, n: int) -> np.ndarray:
-    """Validate an observation vector: finite, strictly positive reals."""
-    x = np.ascontiguousarray(x, dtype=float)
+    """Validate an observation vector: finite, strictly positive reals.
+
+    Returns a read-only copy; the caller's array stays writeable."""
+    x = np.array(x, dtype=float, order="C", ndmin=1)
     if x.ndim != 1:
         raise DimensionMismatchError(f"x must be 1-d, got shape {x.shape}")
     if x.size != n:

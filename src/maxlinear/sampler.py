@@ -16,7 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .conditional import ConditionalLaw, _joined, conditional_law
-from .errors import DimensionMismatchError, NegativeEntryError, ZeroMassBelowBoundError
+from .errors import (
+    DimensionMismatchError,
+    MarginCountMismatchError,
+    NegativeEntryError,
+    ZeroMassBelowBoundError,
+)
 from .hitting import DEFAULT_REL_TOL
 from .margins import MarginSpec, _columnwise
 from .model import BLOCK_ELEMENTS, check_coefficients, max_linear_apply_batch, validate_model
@@ -186,7 +191,7 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
             f"A and B must share the column space: {A.shape} vs {B.shape}"
         )
     if len(task.margins) != A.shape[1]:
-        raise DimensionMismatchError(
+        raise MarginCountMismatchError(
             f"expected {A.shape[1]} margins, got {len(task.margins)}"
         )
     observed = (A > 0).any(axis=0)

@@ -18,6 +18,7 @@ from maxlinear import (
     standard_frechet,
 )
 from maxlinear.cli import main
+from maxlinear.experiments import derived_seed
 from maxlinear.oracles import ones_lower_triangular_model
 
 
@@ -137,16 +138,18 @@ def test_marma_predict_command(tmp_path, capsys):
     assert len(doc["future_median"]) == 4
     assert all(v > 0 for v in doc["future_median"])
     # the same run as the command (window from stream (7, 0), draws from
-    # seed 8): medians and 0.95 quantiles are type-1 order statistics of Y
+    # seed derived_seed(7, 0)): medians and 0.95 quantiles are type-1 order
+    # statistics of Y
     psi = marma_coefficients(spec.phi, spec.theta, spec.p)
     A, B = marma_design(psi, spec.n_observed, spec.N_horizon)
-    _, x_obs, _ = simulate_marma_window(
+    _, x_obs, y_true = simulate_marma_window(
         psi, spec.n_observed, spec.N_horizon, RngStream(7, 0).generator()
     )
     Y = run_prediction(PredictionTask(
         A=A, B=B, margins=(standard_frechet(1.0),) * A.shape[1], x=x_obs,
-        num_samples=60, seed=8,
+        num_samples=60, seed=derived_seed(7, 0),
     )).Y
+    assert doc["observed"] == x_obs.tolist() and doc["true_future"] == y_true.tolist()
     srt = np.sort(Y, axis=0)
     assert doc["future_median"] == srt[29].tolist()  # ceil(0.5 * 60) - 1
     assert doc["future_q95"] == srt[56].tolist()  # ceil(0.95 * 60) - 1

@@ -50,6 +50,23 @@ def test_frechet_quantile_limits(alpha):
     assert m.quantile(-0.5) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.5, 1.0, 2.0, 4.0, 20.0])
+@pytest.mark.parametrize("scale", [0.2, 1.0, 1.5, 5.0])
+def test_frechet_quantile_is_the_log_quantile_of_log_u(alpha, scale):
+    # one inverse: bitwise equal on [0, 1] and at NaN; outside, Q(0) or Q(1)
+    m = Frechet(alpha=alpha, scale=scale)
+    u = np.array([0.0, 5e-324, 1e-300, 0.3, 1.0 - 1e-16, 1.0, np.nan])
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
+    assert np.array_equal(m.quantile(u).view(np.int64), m.log_quantile(log_u).view(np.int64))
+    for v, lv in zip(u.tolist(), log_u.tolist()):
+        q = m.quantile(v)
+        assert isinstance(q, float)
+        assert np.float64(q).view(np.int64) == np.float64(m.log_quantile(lv)).view(np.int64)
+    assert np.array_equal(m.quantile(np.array([-0.5, -np.inf])), [0.0, 0.0])
+    assert np.array_equal(m.quantile(np.array([1.5, np.inf])), [np.inf, np.inf])
+
+
 def test_frechet_rejects_bad_parameters():
     with pytest.raises(ValueError):
         Frechet(alpha=0.0)

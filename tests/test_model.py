@@ -10,12 +10,14 @@ from maxlinear import (
     NegativeEntryError,
     ZeroColumnError,
     ZeroRowError,
+    conditional_law,
     load_model,
     save_model,
     standard_frechet,
     validate_model,
 )
 from maxlinear.model import max_linear_apply, max_linear_apply_batch, validate_observations
+from maxlinear.sampler import PredictionTask, run_prediction
 
 TRIL3 = np.tril(np.ones((3, 3)))
 
@@ -99,6 +101,23 @@ def test_validate_observations():
         validate_observations([1.0, 0.0], 2)
     with pytest.raises(ValueError):
         validate_observations([1.0, np.inf], 2)
+
+
+def test_validation_leaves_caller_arrays_writeable():
+    A, x = TRIL3.copy(), np.array([1.0, 1.0, 3.0])
+    model = validate_model(A, margins(3))
+    conditional_law(model, x)
+    run_prediction(PredictionTask(
+        A=A, B=np.ones((1, 3)), margins=model.margins, x=x, num_samples=2, seed=0,
+    ))
+    assert A.flags.writeable and x.flags.writeable
+    assert not model.A.flags.writeable
+    assert not validate_observations(x, 3).flags.writeable
+    # a model built from a view owns its copy: writes to the base miss it
+    base = np.tril(np.ones((4, 3)))
+    model = validate_model(base[:3], margins(3))
+    base[2, 2] = 0.0
+    assert model.A[2, 2] == 1.0
 
 
 def test_model_file_roundtrip(tmp_path):

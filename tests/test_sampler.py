@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from maxlinear import (
     DimensionMismatchError,
     Frechet,
+    MarginCountMismatchError,
     MarginSpec,
     NegativeEntryError,
     RngStream,
@@ -539,6 +540,29 @@ def test_run_prediction_checks_free_columns_and_the_shape_of_A():
         run_prediction(dataclasses.replace(task, A=A, x=np.array([1.0])))
     with pytest.raises(DimensionMismatchError, match="2-d"):
         run_prediction(dataclasses.replace(task, A=np.ones(3), x=np.array([1.0])))
+
+
+def test_margin_count_mismatch_is_one_error_class():
+    # validate_model and run_prediction raise the same class for this fault
+    assert issubclass(MarginCountMismatchError, DimensionMismatchError)
+    margins = (standard_frechet(1.0),)
+    with pytest.raises(MarginCountMismatchError):
+        validate_model(np.ones((1, 2)), margins)
+    with pytest.raises(MarginCountMismatchError):
+        run_prediction(PredictionTask(
+            A=np.ones((1, 2)), B=np.ones((1, 2)), margins=margins,
+            x=np.array([1.0]), num_samples=1, seed=0,
+        ))
+
+
+def test_bad_B_entries_are_named_by_column():
+    B = np.ones((2, 5))
+    B[0, 1], B[1, 3], B[0, 4] = -0.5, np.nan, np.inf
+    with pytest.raises(NegativeEntryError, match=r"B has .* in columns \[1, 3, 4\]$"):
+        run_prediction(PredictionTask(
+            A=np.ones((1, 5)), B=B, margins=(standard_frechet(1.0),) * 5,
+            x=np.array([1.0]), num_samples=1, seed=0,
+        ))
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
