@@ -131,6 +131,8 @@ def _marma_predictions(spec: MarmaSpec, reps: int, num_samples: int, seed: int):
     """Per repetition r: simulate a window from stream (seed, r), condition
     on its observed part and draw the horizon with sample seed
     ``derived_seed(seed, r)``. Yields (x_obs, y_true, Y)."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     psi = marma_coefficients(spec.phi, spec.theta, spec.p)
     A, B = marma_design(psi, spec.n_observed, spec.N_horizon)
     margins = (standard_frechet(1.0),) * A.shape[1]
@@ -236,6 +238,8 @@ def bench_decomposition(
     Each cell keeps its own generator, so its inputs do not depend on the
     other cells.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     cells = []
     for n in n_list:
         for p in p_list:

@@ -127,17 +127,6 @@ def validate_observations(x, n: int) -> np.ndarray:
     return x
 
 
-def max_linear_apply(A, z) -> np.ndarray:
-    """Row-wise max-times product: result_i = max_j A[i,j] * z[j]."""
-    A = np.asarray(A, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if A.ndim != 2 or z.ndim != 1 or A.shape[1] != z.size:
-        raise DimensionMismatchError(
-            f"incompatible shapes A{A.shape} and z{z.shape}"
-        )
-    return (A * z).max(axis=1)
-
-
 def live_entries(A, upper, floor) -> np.ndarray:
     """Boolean mask of the entries a_ij with a_ij * upper_j > floor_i.
 
@@ -152,19 +141,18 @@ def live_entries(A, upper, floor) -> np.ndarray:
         return A * np.asarray(upper, dtype=float) > np.asarray(floor, dtype=float)[:, None]
 
 
-def max_linear_apply_batch(A, Z, upper=None, floor=None) -> np.ndarray:
-    """Apply ``A`` to each row of the sample matrix ``Z`` (num x p).
+def max_linear_apply_batch(A, Z, upper, floor) -> np.ndarray:
+    """Apply ``A`` to each row of the sample matrix ``Z`` (num x p):
+    result[k, i] = max_j A[i, j] * Z[k, j], a (num x n) matrix.
 
-    Returns a (num x n) matrix. Iterates over the rows of ``A`` so the
-    temporaries stay at num x p.
-
-    Callers that know bounds pass both ``upper``, with Z[:, j] <= upper[j]
-    for every sample (``inf`` where unbounded), and ``floor``, with every
-    result row i at least floor[i]. Then only the entries in
-    :func:`live_entries` are multiplied, and row i is the larger of
-    floor[i] and their maximum. Products are monotone in IEEE arithmetic,
-    so every skipped product is at most floor[i] and the result is
-    exactly the full map's.
+    ``upper`` bounds the factors, Z[:, j] <= upper[j] for every sample
+    (``inf`` where unbounded), and ``floor`` the result, every row i at
+    least floor[i]. Only the entries in :func:`live_entries` are
+    multiplied, and row i is the larger of floor[i] and their maximum.
+    Products are monotone in IEEE arithmetic, so every skipped product is
+    at most floor[i] and the result is exactly the full map's. With
+    ``upper = inf`` and ``floor = 0`` every positive entry is live, which
+    gives the full map of a nonnegative ``Z``.
     """
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -173,12 +161,6 @@ def max_linear_apply_batch(A, Z, upper=None, floor=None) -> np.ndarray:
             f"incompatible shapes A{A.shape} and Z{Z.shape}"
         )
     out = np.empty((Z.shape[0], A.shape[0]))
-    if upper is None and floor is None:
-        for i in range(A.shape[0]):
-            np.max(Z * A[i], axis=1, out=out[:, i])
-        return out
-    if upper is None or floor is None:
-        raise ValueError("upper and floor must be given together")
     upper = np.asarray(upper, dtype=float)
     floor = np.asarray(floor, dtype=float)
     if upper.shape != (A.shape[1],) or floor.shape != (A.shape[0],):

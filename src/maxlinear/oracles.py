@@ -3,11 +3,12 @@ of the acceptance criteria built on them.
 
 The oracles are the brute-force scenario mixture (``ScenarioLaw``, by
 exhaustive minimum-cover enumeration, exponential in general) and a
-rejection sampler that shares no code with the sampler. Acceptance
-criteria 1-3 have one check each, which ``tests/test_acceptance.py``
+rejection sampler that shares none of the sampler's law or draw code
+(it does use the max-times map and the upper bounds). Acceptance
+criteria 1-4 have one check each, which ``tests/test_acceptance.py``
 calls with pinned arguments and :func:`validate_suite` with the command
-line's seed and trial count. This is the only module that needs scipy;
-``import maxlinear`` does not load it.
+line's seed, trial count and epsilon. This is the only module that
+needs scipy; ``import maxlinear`` does not load it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .hitting import (
 from .margins import MarginSpec, _columnwise, standard_frechet
 from .model import (
     MaxLinearModel,
-    max_linear_apply,
     max_linear_apply_batch,
     validate_model,
     validate_observations,
@@ -226,7 +226,7 @@ def rejection_oracle(
         Z = np.column_stack(
             [mj.quantile(U[:, j] * box_mass[j]) for j, mj in enumerate(model.margins)]
         )
-        X = max_linear_apply_batch(model.A, Z)
+        X = max_linear_apply_batch(model.A, Z, np.full(model.p, np.inf), np.zeros(model.n))
         ok = (np.abs(X - x) <= epsilon * x).all(axis=1)
         hits = Z[ok]
         if hits.shape[0]:
@@ -258,7 +258,7 @@ def random_consistent_instance(gen: np.random.Generator, n: int, p: int):
     return model, (A * Z).max(axis=1), Z
 
 
-# --- checks of acceptance criteria 1-3 -----------------------------------------
+# --- checks of acceptance criteria 1-4 -----------------------------------------
 
 # the three canonical cases of the 3 x 3 worked example: x, hitting
 # matrix and relevant scenarios
@@ -344,14 +344,32 @@ def check_exact_draws(gen: np.random.Generator, seed: int, trials: int) -> dict:
         z_hat = compute_upper_bounds(model, x)
         if not (
             np.all(Z_true <= z_hat * (1.0 + 1e-12))
-            and np.allclose(max_linear_apply(model.A, z_hat), x, rtol=1e-12, atol=0.0)
+            and np.allclose((model.A * z_hat).max(axis=1), x, rtol=1e-12, atol=0.0)
         ):
             residuation_failures += 1
         law = conditional_law(model, x)
         Z, _ = draw_conditional_batch(law, 1, RngStream(derived_seed(seed, t), 0))
-        if (np.abs(max_linear_apply(model.A, Z[0]) - x) / x).max() > 1e-9:
+        if (np.abs((model.A * Z[0]).max(axis=1) - x) / x).max() > 1e-9:
             draw_failures += 1
     return {"residuation_failures": residuation_failures, "draw_failures": draw_failures}
+
+
+def check_rejection_oracle(seed: int, epsilon: float, accepts: int, max_proposals: int) -> dict:
+    """Criterion 4 on the worked example x = (1, 1, 3): per coordinate,
+    the two-sample KS statistic of ``accepts`` rejection-oracle
+    acceptances within ``epsilon`` (stream (seed, 0)) against 100,000
+    sampler draws (stream (seed, 1)). Acceptance in observation space
+    smears an atom over about 2 * epsilon * zhat below its bound, so
+    oracle values that close to a bound are snapped onto it. Returns
+    {"ks": [one statistic per coordinate]}."""
+    model, x = ones_lower_triangular_model(), np.array([1.0, 1.0, 3.0])
+    oracle = rejection_oracle(model, x, epsilon, accepts, RngStream(seed, 0), max_proposals)
+    law = conditional_law(model, x)
+    engine, _ = draw_conditional_batch(law, 100_000, RngStream(seed, 1))
+    z_hat = law.z_hat
+    oracle = np.where(np.abs(oracle - z_hat) <= 2.0 * epsilon * z_hat, z_hat, oracle)
+    columns = zip(oracle.T, engine.T)
+    return {"ks": [float(scipy_stats.ks_2samp(o, e).statistic) for o, e in columns]}
 
 
 # --- validation suite -----------------------------------------------------------
@@ -360,10 +378,12 @@ def validate_suite(seed: int = 0, trials: int = 100, epsilon: float = 0.01) -> d
     """End-to-end self-checks; returns a machine-readable report.
 
     Runs the checks of acceptance criteria 1-3 with ``seed`` and
-    ``trials``, a one-sample KS test of the rejection oracle (500
-    acceptances within ``epsilon``) on the worked example, and checks
-    that an inconsistent observation is rejected.
+    ``trials``, the check of criterion 4 with ``seed``, ``epsilon`` and
+    500 acceptances, and checks that an inconsistent observation is
+    rejected.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str = "") -> None:
@@ -388,24 +408,15 @@ def validate_suite(seed: int = 0, trials: int = 100, epsilon: float = 0.01) -> d
     record("draw exactness", exact["draw_failures"] == 0,
            f"{exact['draw_failures']} failures / {trials} trials")
 
-    # rejection oracle on the worked example, case (1,1,3): the free
-    # coordinate must match the truncated margin law
-    model3 = ones_lower_triangular_model()
     accepts = 500
-    oracle = rejection_oracle(
-        model3, np.array([1.0, 1.0, 3.0]), epsilon, accepts, RngStream(seed, 2),
-        max_proposals=200_000_000,
-    )
-    margin = model3.margins[1]
-    trunc_cdf = lambda v: np.clip(margin.cdf(v) / margin.cdf(1.0), 0.0, 1.0)
-    ks = scipy_stats.kstest(oracle[:, 1], trunc_cdf).statistic
+    ks = max(check_rejection_oracle(seed, epsilon, accepts, 200_000_000)["ks"])
     ks_cut = 1.95 / math.sqrt(accepts)  # ~0.1% KS critical value
-    record("rejection oracle KS (free coordinate)", ks < ks_cut,
+    record("rejection oracle KS (largest over coordinates)", ks < ks_cut,
            f"KS {ks:.4f} vs cut {ks_cut:.4f} at {accepts} acceptances")
 
     # corrupted observation must be rejected as out of range
     try:
-        conditional_law(model3, np.array([1.0, 0.5, 3.0]))
+        conditional_law(ones_lower_triangular_model(), np.array([1.0, 0.5, 3.0]))
         record("inconsistent observation rejected", False, "no error raised")
     except InconsistentObservationError:
         record("inconsistent observation rejected", True)

@@ -129,6 +129,14 @@ def test_marma_rejects_bad_count(tmp_path, capsys):
     assert "error: num_samples must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["coverage", "projection"])
+def test_marma_rejects_zero_reps(tmp_path, capsys, mode):
+    spec_path = tmp_path / "spec.json"
+    save_marma_spec(MarmaSpec(phi=(0.5,), p=50, n_observed=15, N_horizon=4), spec_path)
+    assert main(["marma", "--spec", str(spec_path), "--mode", mode, "--reps", "0"]) == 1
+    assert "error: reps must be >= 1" in capsys.readouterr().err
+
+
 def test_marma_predict_command(tmp_path, capsys):
     spec = MarmaSpec(phi=(0.5,), p=50, n_observed=15, N_horizon=4)
     spec_path = tmp_path / "spec.json"
@@ -177,6 +185,16 @@ def test_validate_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
+
+
+def test_validate_rejects_zero_trials(capsys):
+    assert main(["validate", "--trials", "0"]) == 1
+    assert "error: trials must be >= 1" in capsys.readouterr().err
+
+
+def test_bench_rejects_zero_draws(capsys):
+    assert main(["bench", "--n-list", "1", "--p-list", "64", "--draws", "0"]) == 1
+    assert "error: draws must be >= 1" in capsys.readouterr().err
 
 
 def test_bench_command(capsys):

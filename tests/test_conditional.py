@@ -18,10 +18,10 @@ from maxlinear import (
 from maxlinear.errors import (
     EmptyScenarioListError,
     NumericalOverflowError,
+    NumericalUnderflowError,
     TooLargeForBruteForceError,
 )
 from maxlinear.hitting import decompose
-from maxlinear.model import max_linear_apply
 from maxlinear.oracles import (
     enumerate_relevant_scenarios,
     factorization_gap,
@@ -119,6 +119,17 @@ def test_class_weights_normalized():
             assert np.all(w >= 0) and np.all(w <= 1)
 
 
+def test_weights_vanish_where_zhat_lies_beyond_the_support():
+    # density 0.5 on [0, 2] observed at x = 5: f(zhat) = 0, so every
+    # weight is exp(-inf) on both the class path and the oracle's
+    margin = TabulatedContinuous([0.0, 2.0], [0.5, 0.5])
+    model = validate_model([[1.0]], [margin])
+    with pytest.raises(NumericalUnderflowError, match="all weights of class 0 vanish"):
+        conditional_law(model, np.array([5.0]))
+    with pytest.raises(NumericalUnderflowError, match="all weights of scenario list vanish"):
+        scenario_probabilities([(0,)], [margin], np.array([5.0]))
+
+
 def test_enumerate_scenarios_triangular():
     m = ones_lower_triangular_model()
     cases = {
@@ -192,7 +203,7 @@ def test_scenario_law_matches_class_factorization(seed, pool):
     margins = [pool[k] for k in gen.integers(len(pool), size=A.shape[1])]
     model = validate_model(A, margins)
     z = np.array([m.quantile(u) for m, u in zip(margins, gen.random(A.shape[1]))])
-    x = max_linear_apply(model.A, z)
+    x = (model.A * z).max(axis=1)
     s = hitting_structure(model, x)
     law = scenario_probabilities(
         enumerate_relevant_scenarios(s.H), model.margins, s.z_hat
@@ -239,7 +250,7 @@ def test_log_weights_no_underflow_at_scale():
     A = np.vstack([gen.random(p) + 0.5])
     model = validate_model(A, [standard_frechet(1.0)] * p)
     z = 1.0 / -np.log(gen.random(p))
-    x = max_linear_apply(model.A, z)
+    x = (model.A * z).max(axis=1)
     law = conditional_law(model, x)
     assert all(abs(w.sum() - 1.0) <= 1e-12 for w in law.weights)
 

@@ -16,10 +16,15 @@ from maxlinear import (
     standard_frechet,
     validate_model,
 )
-from maxlinear.model import max_linear_apply, max_linear_apply_batch, validate_observations
+from maxlinear.model import max_linear_apply_batch, validate_observations
 from maxlinear.sampler import PredictionTask, run_prediction
 
 TRIL3 = np.tril(np.ones((3, 3)))
+
+
+def full_map(A, Z):
+    """A (max-times) Z for every row of Z: no factor bound, floor 0."""
+    return max_linear_apply_batch(A, Z, np.full(A.shape[1], np.inf), np.zeros(A.shape[0]))
 
 
 def margins(p, alpha=1.0):
@@ -53,18 +58,14 @@ def test_validate_rejects_margin_mismatch():
 
 def test_apply_triangular_identityish():
     # increasing z reproduces itself through the lower-triangular ones
-    assert np.array_equal(max_linear_apply(TRIL3, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    assert np.array_equal(full_map(TRIL3, np.array([[1.0, 2.0, 3.0]])), [[1.0, 2.0, 3.0]])
 
 
 def test_apply_shape_errors():
     with pytest.raises(DimensionMismatchError):
-        max_linear_apply(TRIL3, np.ones(4))
-    with pytest.raises(DimensionMismatchError):
-        max_linear_apply_batch(TRIL3, np.ones((5, 4)))
+        full_map(TRIL3, np.ones((5, 4)))
     with pytest.raises(DimensionMismatchError):
         max_linear_apply_batch(TRIL3, np.ones((5, 3)), upper=np.ones(2), floor=np.zeros(3))
-    with pytest.raises(ValueError):
-        max_linear_apply_batch(TRIL3, np.ones((5, 3)), upper=np.ones(3))
 
 
 def test_batch_matches_single():
@@ -73,9 +74,9 @@ def test_batch_matches_single():
     for num, p in ((20, 6), (2000, 60)):
         A = gen.random((4, p))
         Z = gen.random((num, p)) + 0.01
-        batch = max_linear_apply_batch(A, Z)
+        batch = full_map(A, Z)
         for k in range(num):
-            assert np.allclose(batch[k], max_linear_apply(A, Z[k]))
+            assert np.array_equal(batch[k], (A * Z[k]).max(axis=1))
         # bounds that hold for every sample leave the result unchanged
         pruned = max_linear_apply_batch(A, Z, upper=Z.max(axis=0), floor=batch.min(axis=0))
         assert np.array_equal(pruned, batch)
@@ -89,7 +90,27 @@ def test_batch_matches_single():
 @settings(max_examples=100, deadline=None)
 def test_apply_homogeneous(A, z, c):
     # max-linearity: A (c z) = c (A z)
-    assert np.allclose(max_linear_apply(A, c * z), c * max_linear_apply(A, z), rtol=1e-12)
+    assert np.allclose(full_map(A, c * z[None]), c * full_map(A, z[None]), rtol=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 5),
+    p=st.integers(1, 8),
+    num=st.integers(0, 40),
+    fortran=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_full_map_matches_reference(seed, n, p, num, fortran):
+    # sparse A with some all-zero rows, Z spanning e^-120 to e^120 in
+    # either memory order; the reference shares no code with the library
+    gen = np.random.default_rng(seed)
+    A = gen.random((n, p)) * (gen.random((n, p)) < 0.6)
+    A[gen.random(n) < 0.2] = 0.0
+    Z = np.exp(gen.uniform(-120.0, 120.0, size=(num, p)))
+    if fortran:
+        Z = np.asfortranarray(Z)
+    assert np.array_equal(full_map(A, Z), (A * Z[:, None, :]).max(axis=2))
 
 
 def test_validate_observations():

@@ -26,7 +26,7 @@ from maxlinear import (
 from maxlinear.errors import AcceptanceTooRareError
 from maxlinear.hitting import compute_upper_bounds
 from maxlinear.margins import _columnwise, margin_from_dict
-from maxlinear.model import live_entries, max_linear_apply, max_linear_apply_batch
+from maxlinear.model import live_entries, max_linear_apply_batch
 from maxlinear.oracles import (
     ones_lower_triangular_model,
     random_consistent_instance,
@@ -227,7 +227,7 @@ def test_exactness_every_draw():
         law = conditional_law(model, x)
         Z, _ = draw_conditional_batch(law, 20, RngStream(int(gen.integers(1 << 30))))
         for z in Z:
-            assert np.allclose(max_linear_apply(model.A, z), x, rtol=1e-9)
+            assert np.allclose((model.A * z).max(axis=1), x, rtol=1e-9)
 
 
 def test_batch_determinism():
@@ -338,7 +338,7 @@ def _assert_exact_batch(A, x, law, Z, chosen):
     # strictly inside (0, zhat)
     z_hat = law.z_hat
     rel_tol = 1e-9  # the default of conditional_law
-    assert np.all(np.abs(max_linear_apply_batch(A, Z) - x) <= rel_tol * x)
+    assert np.all(np.abs((A * Z[:, None, :]).max(axis=2) - x) <= rel_tol * x)
     for s, js in enumerate(law.structure.J):
         assert np.all(np.isin(chosen[:, s], js))
     rows = np.arange(Z.shape[0])[:, None]
@@ -376,11 +376,14 @@ def test_draws_exact_where_the_law_is_narrower_than_an_ulp(alpha, s):
 
 def test_predict_consistency():
     model, law = triangular_law([1.0, 1.0, 3.0])
-    z = draw_conditional_batch(law, 1, RngStream(8))[0][0]
-    assert np.allclose(max_linear_apply(model.A, z), [1.0, 1.0, 3.0], rtol=1e-9)
-    assert np.array_equal(max_linear_apply(np.zeros((2, 3)), z), [0.0, 0.0])
+    Z = draw_conditional_batch(law, 1, RngStream(8))[0]
+    upper = np.full(3, np.inf)
+    Y = max_linear_apply_batch(model.A, Z, upper, np.zeros(3))
+    assert np.allclose(Y, [[1.0, 1.0, 3.0]], rtol=1e-9)
+    zero_rows = max_linear_apply_batch(np.zeros((2, 3)), Z, upper, np.zeros(2))
+    assert np.array_equal(zero_rows, [[0.0, 0.0]])
     with pytest.raises(DimensionMismatchError):
-        max_linear_apply(np.ones((1, 4)), z)
+        max_linear_apply_batch(np.ones((1, 4)), Z, np.full(4, np.inf), np.zeros(1))
 
 
 def test_predicted_coordinate_mean_matches_quadrature():
@@ -610,7 +613,7 @@ def test_pruned_prediction_map_is_exact(seed, n, p_cond, p_free, m):
         A=A, B=B, margins=(standard_frechet(1.0),) * p, x=x,
         num_samples=40, seed=seed,
     ))
-    assert np.array_equal(result.Y, max_linear_apply_batch(B, result.Z))
+    assert np.array_equal(result.Y, (B * result.Z[:, None, :]).max(axis=2))
 
 
 def test_live_entries_smith_sites7_at_five():
