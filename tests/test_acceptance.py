@@ -104,7 +104,8 @@ def test_criterion_4_rejection_oracle_ks(capsys):
     """Conditional sampler vs an independent rejection oracle on the
     worked example x = (1, 1, 3), per-coordinate two-sample KS < 0.05,
     with 2000 acceptances within epsilon = 0.005 (the check snaps the
-    oracle's values near an upper bound onto the atom)."""
+    oracle's values near an upper bound onto it where the sampler has an
+    atom)."""
     stats = check_rejection_oracle(42, 0.005, 2000, 2_000_000_000)["ks"]
     ok = all(s < 0.05 for s in stats)
     _report(

@@ -121,7 +121,10 @@ def test_class_weights_normalized():
 
 def test_weights_vanish_where_zhat_lies_beyond_the_support():
     # density 0.5 on [0, 2] observed at x = 5: f(zhat) = 0, so every
-    # weight is exp(-inf) on both the class path and the oracle's
+    # weight is exp(-inf) on both the class path and the oracle's. The
+    # class pinned here is today's; nothing underflows, since no Z <= 2
+    # gives X = 5, so a move to InconsistentObservationError is an
+    # expected edit of this test (see the FOUND line in CHANGES.md)
     margin = TabulatedContinuous([0.0, 2.0], [0.5, 0.5])
     model = validate_model([[1.0]], [margin])
     with pytest.raises(NumericalUnderflowError, match="all weights of class 0 vanish"):

@@ -12,7 +12,7 @@ from maxlinear.experiments import (
     summary_rows,
     write_sample_csv,
 )
-from maxlinear.oracles import validate_suite
+from maxlinear.oracles import check_rejection_oracle, validate_suite
 
 
 def test_order_statistic_quantile_convention():
@@ -86,6 +86,14 @@ def test_validate_suite_passes():
     names = [c["name"] for c in report["checks"]]
     assert "factorization identity" in names
     assert "worked example x=(1,1,3)" in names and "residuation" in names
+
+
+def test_rejection_check_snaps_only_atoms():
+    # z_2 of x = (1, 1, 3) has no atom: snapping its oracle values within
+    # 2 epsilon of 1 would put about 4 epsilon of bias into its statistic
+    ks = check_rejection_oracle(1, 0.05, 500, 200_000_000)["ks"]
+    assert ks[0] == ks[2] == 0.0
+    assert ks[1] < 1.95 / 500**0.5
 
 
 def test_bench_decomposition_smoke():
