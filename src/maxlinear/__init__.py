@@ -28,7 +28,6 @@ from .errors import (
     NonStationaryError,
     NotPureMarError,
     NumericalOverflowError,
-    NumericalUnderflowError,
     ZeroColumnError,
     ZeroMassBelowBoundError,
     ZeroRowError,
@@ -77,7 +76,6 @@ __all__ = [
     "NonStationaryError",
     "NotPureMarError",
     "NumericalOverflowError",
-    "NumericalUnderflowError",
     "PredictionResult",
     "PredictionTask",
     "RngStream",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalUnderflowError
+from .errors import InconsistentObservationError
 from .hitting import DEFAULT_REL_TOL, HittingStructure, hitting_structure
 from .margins import MarginSpec, _columnwise
 from .model import MaxLinearModel
@@ -55,13 +55,23 @@ def class_weights(
     and the product over all of J_bar[s] is common to the class, so
     w_j is proportional to zhat_j f_j(zhat_j) / F_j(zhat_j). Every class
     is normalized at once, by segment reductions in log space.
+
+    Raises
+    ------
+    InconsistentObservationError
+        if no candidate of a class has positive density at its bound:
+        the observation then has zero density under the model.
     """
     log_w, starts = _log_candidate_terms(structure, margins)
     top = np.maximum.reduceat(log_w, starts)
+    # the Frechet term is finite at every positive finite zhat, so only a
+    # margin with zero density at zhat (or no mass below it) gets here
     vanished = np.flatnonzero(~np.isfinite(top))
     if vanished.size:
-        raise NumericalUnderflowError(
-            f"all weights of class {vanished[0]} vanish in log space"
+        raise InconsistentObservationError(
+            f"observation is inconsistent with the margins: every candidate "
+            f"of class {vanished[0]} has zero density at its bound zhat "
+            "(or no mass below it)"
         )
     sizes = np.diff(starts, append=log_w.size)
     w = np.exp(log_w - np.repeat(top, sizes))

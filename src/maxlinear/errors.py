@@ -38,8 +38,9 @@ class DensityNormalizationError(MaxLinearError):
 # --- hitting structure --------------------------------------------------
 
 class InconsistentObservationError(MaxLinearError):
-    """Observation lies outside the range of the model (a row of the
-    hitting matrix has no one within tolerance)."""
+    """Observation lies outside the range of the model: a row of the
+    hitting matrix has no one within tolerance, or every candidate of a
+    class has zero density at its bound under the margins."""
 
 
 class NumericalOverflowError(MaxLinearError):
@@ -54,10 +55,6 @@ class EmptyScenarioClassError(MaxLinearError):
 
 
 # --- conditional law ----------------------------------------------------
-
-class NumericalUnderflowError(MaxLinearError):
-    """All weights of a class underflowed to zero even in log space."""
-
 
 class TooLargeForBruteForceError(MaxLinearError):
     """Instance exceeds the exhaustive-enumeration cap."""

@@ -17,6 +17,16 @@ import numpy as np
 from .errors import DensityNormalizationError
 
 DENSITY_TOL = 1e-9
+# buckets of [0, 1) per grid point in a tabulated margin's quantile index
+BUCKETS_PER_KNOT = 8
+
+
+def _readonly(a) -> np.ndarray:
+    """A read-only C-ordered copy: the caller's array stays writeable, and
+    later writes to it (or to the base of a view) do not reach the copy."""
+    a = np.array(a, dtype=float, order="C")
+    a.setflags(write=False)
+    return a
 
 
 class MarginSpec:
@@ -128,6 +138,8 @@ class TabulatedContinuous(MarginSpec):
         density = np.asarray(density, dtype=float)
         if grid.ndim != 1 or grid.shape != density.shape or grid.size < 2:
             raise ValueError("grid and density must be 1-d arrays of equal length >= 2")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("grid values must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         if grid[0] < 0:
@@ -143,9 +155,21 @@ class TabulatedContinuous(MarginSpec):
                 f"tabulated density integrates to {total!r}, expected 1 "
                 f"within {DENSITY_TOL}"
             )
-        self.grid = grid
-        self.density = density
-        self._cdf = cdf
+        self.grid = _readonly(grid)
+        self.density = _readonly(density)
+        self._cdf = _readonly(cdf)
+        self._hash = hash((self.grid.tobytes(), self.density.tobytes()))
+        # the quantile's tables: each segment's slope as np.interp forms
+        # it, and for each of the equal buckets of [0, 1) the last knot at
+        # or below the bucket's left edge (a zero-width segment gets an
+        # inf slope, which the quantile's check never lets through)
+        with np.errstate(divide="ignore"):
+            self._slopes = _readonly(np.diff(grid) / np.diff(cdf))
+        self._buckets = BUCKETS_PER_KNOT * grid.size
+        edges = np.arange(self._buckets) / self._buckets
+        knots = np.searchsorted(cdf, edges, side="right") - 1
+        self._bucket_knot = np.clip(knots, 0, grid.size - 2)
+        self._bucket_knot.setflags(write=False)
 
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -160,9 +184,34 @@ class TabulatedContinuous(MarginSpec):
         return out if out.ndim else float(out)
 
     def quantile(self, u):
+        """The inverse of the piecewise-linear CDF, bitwise equal to
+        ``np.interp(u, self._cdf, self.grid)`` without its binary search
+        per value.
+
+        The bucket of u names a knot j. Where _cdf[j] < u < _cdf[j + 1], u
+        lies inside segment j, and the value is np.interp's own expression
+        slope[j] * (u - _cdf[j]) + grid[j]. The other values (past a knot
+        in their bucket, on a knot, outside (0, 1) or NaN) go to np.interp.
+        """
         u = np.asarray(u, dtype=float)
-        out = np.interp(u, self._cdf, self.grid)
-        return out if out.ndim else float(out)
+        if not u.ndim:
+            return float(np.interp(u, self._cdf, self.grid))
+        # the bucket of a NaN or an out-of-range u may be any index, as the
+        # check is exact; a value the check rejects may form inf * 0 before
+        # np.interp replaces it, and one it passes overflows as in np.interp
+        with np.errstate(invalid="ignore", over="ignore"):
+            bucket = (u * self._buckets).astype(np.intp)
+            j = self._bucket_knot.take(bucket, mode="clip")
+            lo = self._cdf.take(j)
+            inside = lo < u
+            inside &= u < self._cdf[1:].take(j)
+            out = u - lo
+            out *= self._slopes.take(j)
+            out += self.grid.take(j)
+        if not inside.all():
+            outside = ~inside
+            out[outside] = np.interp(u[outside], self._cdf, self.grid)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -179,7 +228,7 @@ class TabulatedContinuous(MarginSpec):
         )
 
     def __hash__(self):
-        return hash((self.grid.tobytes(), self.density.tobytes()))
+        return self._hash
 
 
 def _columnwise(margins: Sequence[MarginSpec], method: str, values) -> np.ndarray:
@@ -187,8 +236,7 @@ def _columnwise(margins: Sequence[MarginSpec], method: str, values) -> np.ndarra
     with one vectorized call per group of equal margins.
 
     Columns are grouped by object identity first, which needs no hashing
-    of the margins; distinct but equal objects (one per column, as
-    ``load_model`` builds them) then join one group.
+    of the margins; distinct but equal objects then join one group.
     """
     # Works on values.T, whose first axis indexes the columns: for a
     # column-major sample matrix every group gathers and scatters whole

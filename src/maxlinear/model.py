@@ -21,19 +21,11 @@ from .errors import (
     ZeroColumnError,
     ZeroRowError,
 )
-from .margins import MarginSpec, margin_from_dict
+from .margins import MarginSpec, _readonly, margin_from_dict
 
 
 # entries of a sample matrix handled at a time by a blocked loop (256 KiB)
 BLOCK_ELEMENTS = 2**15
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered copy: the caller's array stays writeable, and
-    later writes to it (or to the base of a view) do not reach the copy."""
-    a = np.array(a, dtype=float, order="C")
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -196,7 +188,10 @@ def model_to_dict(model: MaxLinearModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MaxLinearModel:
-    margins = [margin_from_dict(m) for m in doc["margins"]]
+    # one object per distinct margin, so that _columnwise groups columns
+    # by identity alone
+    seen: dict[MarginSpec, MarginSpec] = {}
+    margins = [seen.setdefault(m, m) for m in map(margin_from_dict, doc["margins"])]
     return validate_model(np.array(doc["A"], dtype=float), margins)
 
 

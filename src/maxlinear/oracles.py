@@ -28,7 +28,6 @@ from .errors import (
     EmptyScenarioListError,
     InconsistentObservationError,
     MaxLinearError,
-    NumericalUnderflowError,
     TooLargeForBruteForceError,
 )
 from .experiments import derived_seed
@@ -142,7 +141,10 @@ def scenario_probabilities(
     log_w = scenario_log_weights(scenarios, margins, z_hat)
     total = logsumexp(log_w)
     if not np.isfinite(total):
-        raise NumericalUnderflowError("all weights of scenario list vanish in log space")
+        raise InconsistentObservationError(
+            "observation is inconsistent with the margins: every scenario "
+            "has zero density at zhat"
+        )
     return ScenarioLaw(tuple(scenarios), np.exp(log_w - total), z_hat, tuple(margins))
 
 

@@ -158,6 +158,25 @@ def test_tabulated_rejects_bad_grid():
         TabulatedContinuous([-1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         TabulatedContinuous([0.0, 2.0], [1.0, -0.5])
+    # an infinite segment with zero density integrates to NaN, which no
+    # tolerance test can reject
+    with pytest.raises(ValueError):
+        TabulatedContinuous([0.0, 1.0, np.inf], [2.0, 0.0, 0.0])
+
+
+def test_tabulated_keeps_read_only_copies():
+    grid = np.linspace(0.0, 2.0, 201)
+    density = 1.0 - np.abs(grid - 1.0)
+    m = TabulatedContinuous(grid, density)
+    before = (m.quantile(0.5), m.cdf(1.0), hash(m))
+    grid *= 2.0
+    density *= 2.0
+    assert (m.quantile(0.5), m.cdf(1.0), hash(m)) == before
+    assert m == _triangle_margin()
+    assert grid.flags.writeable
+    for table in (m.grid, m.density):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_margin_serialization_roundtrip():
@@ -200,6 +219,67 @@ def test_columnwise_groups_equal_margins(monkeypatch):
     assert (len(frechet_calls), len(tabulated_calls)) == (2, 1)
 
 
+def _random_tabulated(seed):
+    """A tabulated margin on a random grid, uniform or not, whose support
+    may start above 0 (or at -0.0) and whose density may vanish on whole
+    segments (ties in its CDF); and the values that probe its quantile:
+    every knot of the CDF and its neighbours, the ends of [0, 1] and
+    beyond, NaN and random values."""
+    gen = np.random.default_rng(seed)
+    size = int(gen.integers(2, 60))
+    if gen.random() < 0.5:
+        steps = np.full(size - 1, gen.uniform(1e-3, 2.0))
+    else:
+        steps = gen.random(size - 1) ** 3 + 1e-9
+    start = gen.choice([0.0, -0.0, gen.uniform(0.0, 5.0)])
+    grid = np.concatenate(([start], start + np.cumsum(steps)))
+    density = gen.random(size) * (gen.random(size) < 0.7)
+    density[gen.integers(size)] += 1.0
+    density /= np.sum(np.diff(grid) * (density[:-1] + density[1:]) / 2.0)
+    m = TabulatedContinuous(grid, density)
+    knots = m._cdf
+    u = np.concatenate((
+        knots,
+        np.nextafter(knots, -np.inf),
+        np.nextafter(knots, np.inf),
+        [0.0, -0.0, 1.0, -0.5, 1.5, 1.0 + 1e-12, np.nan, np.inf, -np.inf],
+        gen.random(size * 8),
+    ))
+    return m, gen.permutation(u)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_tabulated_quantile_is_np_interp_bitwise(seed):
+    # bitwise, which also tells -0.0 from 0.0, in every shape and layout
+    m, u = _random_tabulated(seed)
+    expected = np.interp(u, m._cdf, m.grid)
+    u = u[: u.size // 2 * 2]
+    expected = expected[: u.size]
+    assert np.array_equal(_bits(m.quantile(u)), _bits(expected))
+    for layout in ("C", "F"):
+        u2 = u.reshape((2, -1), order=layout)
+        e2 = expected.reshape((2, -1), order=layout)
+        assert np.array_equal(_bits(m.quantile(u2)), _bits(e2))
+    for v, e in zip(u.tolist(), expected.tolist()):
+        q = m.quantile(v)
+        assert isinstance(q, float) and _bits(q) == _bits(e)
+
+
+def test_tabulated_quantile_fallback_in_the_gamma_tail():
+    # in the upper tail of Gamma(2) the CDF's knots crowd into few buckets,
+    # so most values there lie past a knot in their bucket and take np.interp
+    m = _gamma2_margin()
+    u = 1.0 - 1e-3 * np.random.default_rng(3).random(1000)
+    knot = m._bucket_knot[(u * m._buckets).astype(np.intp)]
+    assert np.mean(u >= m._cdf[knot + 1]) > 0.5
+    assert np.array_equal(_bits(m.quantile(u)), _bits(np.interp(u, m._cdf, m.grid)))
+
+
 def _gamma2_margin():
     grid = np.linspace(0.0, 20.0, 401)
     density = grid * np.exp(-grid)
@@ -238,7 +318,7 @@ def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):
     model = validate_model(np.ones((1, 5)), [Frechet(alpha=2.0, scale=0.5)] * 5)
     save_model(model, tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json")
-    assert loaded.margins[0] is not loaded.margins[1]
+    assert all(m is loaded.margins[0] for m in loaded.margins)
     values = np.linspace(0.1, 0.9, 10).reshape(2, 5)
     expected = model.margins[0].quantile(values)
     calls = _count_quantile_calls(monkeypatch, Frechet)
