@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def _load_vector(path: str) -> np.ndarray:
 
 def _load_matrix(path: str) -> np.ndarray:
     if path.endswith(".json"):
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         return np.asarray(doc["B"] if isinstance(doc, dict) else doc, dtype=float)
     return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2).astype(float))
 

@@ -90,13 +90,23 @@ def compute_hitting_matrix(
 
     Raises
     ------
+    ValueError
+        unless 0 <= rel_tol < 1.
     InconsistentObservationError
         if some row has no hit, i.e. x is not in the range of the model
         within tolerance.
     """
     x = validate_observations(x, model.n)
-    z_hat = np.asarray(z_hat, dtype=float)
-    H = _hitting_matrix(model.A, x, z_hat, rel_tol)
+    return _hitting_matrix(model.A, x, np.asarray(z_hat, dtype=float), rel_tol)
+
+
+def _hitting_matrix(
+    A: np.ndarray, x: np.ndarray, z_hat: np.ndarray, rel_tol: float
+) -> np.ndarray:
+    # at rel_tol >= 1 every a_ij * zhat_j <= x_i would count as a hit
+    if not 0.0 <= rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
+    H = (A > 0) & (np.abs(A * z_hat - x[:, None]) <= rel_tol * x[:, None])
     bad = np.flatnonzero(~H.any(axis=1))
     if bad.size:
         raise InconsistentObservationError(
@@ -104,12 +114,6 @@ def compute_hitting_matrix(
             "x is outside the model range (within tolerance)"
         )
     return H
-
-
-def _hitting_matrix(
-    A: np.ndarray, x: np.ndarray, z_hat: np.ndarray, rel_tol: float
-) -> np.ndarray:
-    return (A > 0) & (np.abs(A * z_hat - x[:, None]) <= rel_tol * x[:, None])
 
 
 def decompose(H, z_hat) -> HittingStructure:
@@ -131,19 +135,15 @@ def decompose(H, z_hat) -> HittingStructure:
     z_hat = np.asarray(z_hat, dtype=float)
     if H.size == 0:
         raise ValueError("H is not a valid hitting matrix: empty")
-    col_count = H.sum(axis=0)
-    if col_count.min() == 0 or not H.any(axis=1).all():
+    if not (H.any(axis=0).all() and H.any(axis=1).all()):
         raise ValueError("H is not a valid hitting matrix: empty row or column")
-    return _decompose_checked(H, z_hat, col_count)
+    return _decompose_checked(H, z_hat)
 
 
-def _decompose_checked(
-    H: np.ndarray, z_hat: np.ndarray, col_count: np.ndarray | None = None
-) -> HittingStructure:
+def _decompose_checked(H: np.ndarray, z_hat: np.ndarray) -> HittingStructure:
     """Decomposition core; assumes H is boolean with no empty row/column."""
     n, p = H.shape
-    if col_count is None:
-        col_count = H.sum(axis=0)
+    col_count = H.sum(axis=0)
 
     parent = np.arange(n)
 
@@ -226,11 +226,4 @@ def hitting_structure(
     x = validate_observations(x, model.n)
     z_hat = _upper_bounds(model.A, x)
     H = _hitting_matrix(model.A, x, z_hat, rel_tol)
-    hit_any = H.any(axis=1)
-    if not hit_any.all():
-        bad = np.flatnonzero(~hit_any)
-        raise InconsistentObservationError(
-            f"no factor can reproduce observation rows {bad.tolist()}; "
-            "x is outside the model range (within tolerance)"
-        )
     return _decompose_checked(H, z_hat)

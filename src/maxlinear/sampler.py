@@ -19,7 +19,6 @@ from .conditional import ConditionalLaw, _joined, conditional_law
 from .errors import (
     DimensionMismatchError,
     MarginCountMismatchError,
-    NegativeEntryError,
     ZeroMassBelowBoundError,
 )
 from .hitting import DEFAULT_REL_TOL
@@ -179,12 +178,10 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     The map skips the entries of ``B`` that cannot decide their row
     (see :func:`row_floors`); ``Y`` equals ``B (max-times) Z`` exactly.
     """
-    num = task.num_samples
-    if not isinstance(num, (int, np.integer)) or num < 1:
-        raise ValueError(f"num_samples must be an integer >= 1, got {num!r}")
-    A = np.asarray(task.A, dtype=float)
-    if A.ndim != 2:
-        raise DimensionMismatchError(f"A must be 2-d, got shape {A.shape}")
+    for name, value, low in (("num_samples", task.num_samples, 1), ("seed", task.seed, 0)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    A = check_coefficients(task.A, "A")
     B = check_coefficients(task.B, "B")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(
@@ -197,13 +194,13 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     observed = (A > 0).any(axis=0)
     cond = np.flatnonzero(observed)
     free = np.flatnonzero(~observed)
-    # validate_model checks the other columns; NaN != 0 is caught too
-    stray = free[(A[:, free] != 0).any(axis=0)]
-    if stray.size:
-        raise NegativeEntryError(f"A has negative or NaN entries in columns {stray.tolist()}")
-    sub_model = validate_model(A[:, cond], [task.margins[j] for j in cond])
-    law = conditional_law(sub_model, task.x, task.rel_tol)
-    num = int(num)
+    if free.size:
+        model = validate_model(A[:, cond], [task.margins[j] for j in cond])
+        B_cond = B[:, cond]
+    else:  # every column observed: no sub-block copies
+        model, B_cond = validate_model(A, task.margins), B
+    law = conditional_law(model, task.x, task.rel_tol)
+    num = int(task.num_samples)
     Zc, _ = draw_conditional_batch(law, num, RngStream(task.seed, 0))
     if free.size:
         # column-major like Zc, so each column is copied or drawn contiguously;
@@ -221,7 +218,7 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     # free factors are unbounded
     upper = np.full(A.shape[1], np.inf)
     upper[cond] = law.z_hat
-    Y = max_linear_apply_batch(B, Z, upper=upper, floor=row_floors(law, B[:, cond]))
+    Y = max_linear_apply_batch(B, Z, upper=upper, floor=row_floors(law, B_cond))
     return PredictionResult(
         Z=Z, Y=Y, law=law, conditioned_columns=cond, free_columns=free
     )

@@ -113,6 +113,12 @@ def test_inconsistent_observation_exits_nonzero(model_files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rel_tol_of_one_exits_nonzero(model_files, capsys):
+    model_path, obs_path = model_files
+    assert main(["sample", "--model", model_path, "--obs", obs_path, "--rel-tol", "1"]) == 1
+    assert "rel_tol" in capsys.readouterr().err
+
+
 def test_marma_quality_command(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     save_marma_spec(MarmaSpec(phi=(0.7, 0.5, 0.3), p=500), spec_path)

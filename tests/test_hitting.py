@@ -13,6 +13,7 @@ from maxlinear import (
     validate_model,
 )
 from maxlinear.hitting import compute_hitting_matrix, compute_upper_bounds, decompose
+from maxlinear.sampler import PredictionTask, run_prediction
 
 TRIL3 = np.tril(np.ones((3, 3)))
 
@@ -73,6 +74,23 @@ def test_hitting_matrix_rejects_out_of_range():
     x = np.array([1.0, 0.5, 3.0])  # row 2 demands max(z1, z2) = 0.5 < z1 bound
     with pytest.raises(InconsistentObservationError):
         compute_hitting_matrix(m, x, compute_upper_bounds(m, x))
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, -1e-3, 1.0, np.inf])
+def test_rel_tol_outside_the_unit_interval_is_rejected(rel_tol):
+    # at rel_tol >= 1 every positive entry hit and draws missed x by up to
+    # 85%; NaN and negative values raised InconsistentObservationError
+    m = small_model([[1.0, 0.5, 0.2], [0.3, 1.0, 0.4]])
+    x = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="rel_tol"):
+        compute_hitting_matrix(m, x, compute_upper_bounds(m, x), rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        conditional_law(m, x, rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        run_prediction(PredictionTask(
+            A=m.A, B=np.zeros((0, 3)), margins=m.margins, x=x,
+            num_samples=5, seed=0, rel_tol=rel_tol,
+        ))
 
 
 def test_decompose_diagonal():

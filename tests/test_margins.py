@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from maxlinear import (
     validate_model,
 )
 from maxlinear.margins import _columnwise, margin_from_dict
+from maxlinear.sampler import PredictionTask, run_prediction
 
 
 def test_frechet_closed_forms():
@@ -315,12 +318,30 @@ def test_columnwise_matches_per_column_in_every_layout(layout):
 
 
 def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):
-    model = validate_model(np.ones((1, 5)), [Frechet(alpha=2.0, scale=0.5)] * 5)
-    save_model(model, tmp_path / "model.json")
-    loaded = load_model(tmp_path / "model.json")
-    assert all(m is loaded.margins[0] for m in loaded.margins)
-    values = np.linspace(0.1, 0.9, 10).reshape(2, 5)
-    expected = model.margins[0].quantile(values)
-    calls = _count_quantile_calls(monkeypatch, Frechet)
-    assert np.array_equal(_columnwise(loaded.margins, "quantile", values), expected)
-    assert len(calls) == 1
+    # validate_model keeps one object per distinct margin, for margins that
+    # share one object and for margins built as one object per column
+    def kinds():
+        return standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _gamma2_margin()
+
+    shared = [Frechet(alpha=2.0, scale=0.5)] * 5
+    per_column = [kinds()[j % 3] for j in range(6)]
+    task = PredictionTask(
+        A=np.ones((1, 6)), B=np.ones((2, 6)), margins=tuple(per_column),
+        x=np.array([1.0]), num_samples=20, seed=1,
+    )
+    expected = run_prediction(dataclasses.replace(task, margins=kinds() * 2))
+    result = run_prediction(task)
+    assert np.array_equal(result.Z, expected.Z) and np.array_equal(result.Y, expected.Y)
+    frechet_calls = _count_quantile_calls(monkeypatch, Frechet)
+    tabulated_calls = _count_quantile_calls(monkeypatch, TabulatedContinuous)
+    for margins, calls in ((shared, (1, 0)), (per_column, (2, 1))):
+        model = validate_model(np.ones((1, len(margins))), margins)
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        for merged in (model.margins, loaded.margins):
+            assert all((a is b) == (a == b) for a in merged for b in merged)
+        values = np.linspace(0.1, 0.9, 2 * len(margins)).reshape(2, -1)
+        want = np.stack([m.quantile(values[:, j]) for j, m in enumerate(margins)], axis=1)
+        del frechet_calls[:], tabulated_calls[:]
+        assert np.array_equal(_columnwise(loaded.margins, "quantile", values), want)
+        assert (len(frechet_calls), len(tabulated_calls)) == calls

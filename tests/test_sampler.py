@@ -511,6 +511,40 @@ def test_run_prediction_rejects_bad_count():
     assert run_prediction(dataclasses.replace(task, num_samples=np.int64(3))).Z.shape == (3, 2)
 
 
+def test_run_prediction_rejects_bad_seed():
+    # 2.7 drew the stream of seed 2 and None raised a bare TypeError
+    task = PredictionTask(
+        A=np.ones((1, 2)), B=np.ones((1, 2)), margins=(standard_frechet(1.0),) * 2,
+        x=np.array([1.0]), num_samples=4, seed=0,
+    )
+    for bad in (2.7, -1, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            run_prediction(dataclasses.replace(task, seed=bad))
+    Z = run_prediction(dataclasses.replace(task, seed=np.int64(3))).Z
+    assert np.array_equal(Z, run_prediction(dataclasses.replace(task, seed=3)).Z)
+
+
+def test_zero_column_padding_keeps_the_draws():
+    # the padded task validates the observed sub-block, the plain one A, B
+    # and the margins as given; the conditioned draws come from one stream
+    gen = np.random.default_rng(8)
+    A = gen.uniform(0.5, 1.0, (3, 5))
+    B = gen.random((4, 5))
+    kinds = (standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _gamma2_margin())
+    margins = tuple(kinds[j % 3] for j in range(5))
+    x = (A * gen.uniform(0.5, 1.5, 5)).max(axis=1)
+    plain = run_prediction(PredictionTask(
+        A=A, B=B, margins=margins, x=x, num_samples=30, seed=6,
+    ))
+    padded = run_prediction(PredictionTask(
+        A=np.pad(A, ((0, 0), (0, 1))), B=np.pad(B, ((0, 0), (0, 1))),
+        margins=margins + kinds[:1], x=x, num_samples=30, seed=6,
+    ))
+    assert plain.free_columns.size == 0 and padded.free_columns.tolist() == [5]
+    assert np.array_equal(padded.Z[:, :5], plain.Z)
+    assert np.array_equal(padded.Y, plain.Y)
+
+
 def test_run_prediction_without_prediction_rows():
     # a B with zero rows asks for Z only, drawn from stream (seed, 0) as
     # draw_conditional_batch draws it; case (i) is a point mass
