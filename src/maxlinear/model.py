@@ -74,8 +74,6 @@ def check_coefficients(M, name: str) -> np.ndarray:
 def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
     """Check structural assumptions and return an immutable model.
 
-    Equal margins become one shared object in the model's ``margins``.
-
     Raises
     ------
     DimensionMismatchError
@@ -102,15 +100,6 @@ def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
         raise MarginCountMismatchError(
             f"expected {A.shape[1]} margins, got {len(margins)}"
         )
-    # one object per distinct margin, so that _columnwise groups columns by
-    # identity alone; objects are matched by identity before any is hashed
-    if margins.count(margins[0]) == len(margins):
-        margins = (margins[0],) * len(margins)
-    else:
-        seen: dict[MarginSpec, MarginSpec] = {}
-        by_id = {id(m): m for m in margins}
-        by_id = {key: seen.setdefault(m, m) for key, m in by_id.items()}
-        margins = tuple(by_id[id(m)] for m in margins)
     return MaxLinearModel(A=_readonly(A), margins=margins)
 
 
@@ -199,7 +188,10 @@ def model_to_dict(model: MaxLinearModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MaxLinearModel:
-    margins = [margin_from_dict(m) for m in doc["margins"]]
+    # one object per distinct margin, so that _columnwise groups columns
+    # by identity alone
+    seen: dict[MarginSpec, MarginSpec] = {}
+    margins = [seen.setdefault(m, m) for m in map(margin_from_dict, doc["margins"])]
     return validate_model(np.array(doc["A"], dtype=float), margins)
 
 

@@ -19,6 +19,7 @@ from .conditional import ConditionalLaw, _joined, conditional_law
 from .errors import (
     DimensionMismatchError,
     MarginCountMismatchError,
+    NegativeEntryError,
     ZeroMassBelowBoundError,
 )
 from .hitting import DEFAULT_REL_TOL
@@ -181,7 +182,9 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     for name, value, low in (("num_samples", task.num_samples, 1), ("seed", task.seed, 0)):
         if not isinstance(value, (int, np.integer)) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    A = check_coefficients(task.A, "A")
+    A = np.asarray(task.A, dtype=float)
+    if A.ndim != 2:
+        raise DimensionMismatchError(f"A must be 2-d, got shape {A.shape}")
     B = check_coefficients(task.B, "B")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(
@@ -195,6 +198,10 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     cond = np.flatnonzero(observed)
     free = np.flatnonzero(~observed)
     if free.size:
+        # validate_model checks the other columns; NaN != 0 is caught too
+        stray = free[(A[:, free] != 0).any(axis=0)]
+        if stray.size:
+            raise NegativeEntryError(f"A has negative or NaN entries in columns {stray.tolist()}")
         model = validate_model(A[:, cond], [task.margins[j] for j in cond])
         B_cond = B[:, cond]
     else:  # every column observed: no sub-block copies

@@ -318,7 +318,7 @@ def test_columnwise_matches_per_column_in_every_layout(layout):
 
 
 def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):
-    # validate_model keeps one object per distinct margin, for margins that
+    # load_model keeps one object per distinct margin, for margins that
     # share one object and for margins built as one object per column
     def kinds():
         return standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _gamma2_margin()
@@ -338,8 +338,8 @@ def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):
         model = validate_model(np.ones((1, len(margins))), margins)
         save_model(model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
-        for merged in (model.margins, loaded.margins):
-            assert all((a is b) == (a == b) for a in merged for b in merged)
+        merged = loaded.margins
+        assert all((a is b) == (a == b) for a in merged for b in merged)
         values = np.linspace(0.1, 0.9, 2 * len(margins)).reshape(2, -1)
         want = np.stack([m.quantile(values[:, j]) for j, m in enumerate(margins)], axis=1)
         del frechet_calls[:], tabulated_calls[:]
