@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditional import conditional_law
-from .errors import MaxLinearError
+from .errors import MaxLinearError, _json_field
 from .experiments import (
     _marma_predictions,
     bench_decomposition,
@@ -45,7 +45,8 @@ def _load_vector(path: str) -> np.ndarray:
 def _load_matrix(path: str) -> np.ndarray:
     if path.endswith(".json"):
         doc = json.loads(Path(path).read_text())
-        return np.asarray(doc["B"] if isinstance(doc, dict) else doc, dtype=float)
+        B = _json_field(doc, "B", "a prediction matrix") if isinstance(doc, dict) else doc
+        return np.asarray(B, dtype=float)
     return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2).astype(float))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InconsistentObservationError
 from .hitting import DEFAULT_REL_TOL, HittingStructure, hitting_structure
-from .margins import MarginSpec, _columnwise
+from .margins import MarginSpec, _columnwise, margin_groups
 from .model import MaxLinearModel
 
 
@@ -33,16 +33,15 @@ def _joined(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(sets), starts
 
 
-def _log_candidate_terms(
-    structure: HittingStructure, margins: Sequence[MarginSpec]
-) -> tuple[np.ndarray, np.ndarray]:
+def _log_candidate_terms(structure: HittingStructure, groups) -> tuple[np.ndarray, np.ndarray]:
     """log zhat_j + log(f_j / F_j)(zhat_j) for the candidate columns of
     every class, joined end to end in the order of ``structure.J``, and
-    where each class starts."""
+    where each class starts; ``groups = (kinds, label)`` of the margins."""
     cols, starts = _joined(structure.J)
-    z_hat = structure.z_hat
-    terms = _columnwise(margins, "log_reversed_hazard", z_hat)[cols]
-    return np.log(z_hat[cols]) + terms, starts
+    kinds, label = groups
+    z_hat = structure.z_hat[cols]
+    terms = _columnwise((kinds, label[cols]), "log_reversed_hazard", z_hat)
+    return np.log(z_hat) + terms, starts
 
 
 def class_weights(
@@ -59,19 +58,29 @@ def class_weights(
     Raises
     ------
     InconsistentObservationError
+        if a column has no mass below its bound zhat (zhat at or below
+        its margin's ``lower_end``), so that the common product is 0, or
         if no candidate of a class has positive density at its bound:
         the observation then has zero density under the model.
     """
-    log_w, starts = _log_candidate_terms(structure, margins)
+    groups = margin_groups(margins)
+    # from the support, not from log F = -inf, which a positive F can underflow to
+    lower = np.array([m.lower_end for m in groups[0]])[groups[1]]
+    empty = np.flatnonzero(structure.z_hat <= lower)
+    if empty.size:
+        raise InconsistentObservationError(
+            f"observation is inconsistent with the margins: column {empty[0]} "
+            f"has no mass below its bound zhat = {structure.z_hat[empty[0]]}"
+        )
+    log_w, starts = _log_candidate_terms(structure, groups)
     top = np.maximum.reduceat(log_w, starts)
     # the Frechet term is finite at every positive finite zhat, so only a
-    # margin with zero density at zhat (or no mass below it) gets here
+    # margin with zero density at zhat (or a log-CDF that underflows) gets here
     vanished = np.flatnonzero(~np.isfinite(top))
     if vanished.size:
         raise InconsistentObservationError(
             f"observation is inconsistent with the margins: every candidate "
-            f"of class {vanished[0]} has zero density at its bound zhat "
-            "(or no mass below it)"
+            f"of class {vanished[0]} has zero density at its bound zhat"
         )
     sizes = np.diff(starts, append=log_w.size)
     w = np.exp(log_w - np.repeat(top, sizes))

@@ -9,6 +9,14 @@ class MaxLinearError(Exception):
     """Base class for all maxlinear errors."""
 
 
+def _json_field(doc, key: str, what: str):
+    """``doc[key]`` of the JSON ``doc`` read from a file, or a ValueError
+    naming ``key`` if ``doc`` is not an object with that key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{what} must be a JSON object with a {key!r} key")
+    return doc[key]
+
+
 # --- model construction -------------------------------------------------
 
 class NegativeEntryError(MaxLinearError):

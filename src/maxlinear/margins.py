@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DensityNormalizationError
+from .errors import DensityNormalizationError, _json_field
 
 DENSITY_TOL = 1e-9
 # buckets of [0, 1) per grid point in a tabulated margin's quantile index
@@ -31,6 +31,9 @@ def _readonly(a) -> np.ndarray:
 
 class MarginSpec:
     """Common interface for margins: cdf, pdf, quantile and log variants."""
+
+    # the largest z with F(z) = 0: no mass lies below a bound at or under it
+    lower_end = 0.0
 
     def cdf(self, z):
         raise NotImplementedError
@@ -158,6 +161,7 @@ class TabulatedContinuous(MarginSpec):
         self.grid = _readonly(grid)
         self.density = _readonly(density)
         self._cdf = _readonly(cdf)
+        self.lower_end = float(grid[np.flatnonzero(cdf == 0.0)[-1]])
         self._hash = hash((self.grid.tobytes(), self.density.tobytes()))
         # the quantile's tables: each segment's slope as np.interp forms
         # it, and for each of the equal buckets of [0, 1) the last knot at
@@ -231,39 +235,41 @@ class TabulatedContinuous(MarginSpec):
         return self._hash
 
 
-def _columnwise(margins: Sequence[MarginSpec], method: str, values) -> np.ndarray:
-    """``margins[j].<method>`` applied to ``values[..., j]`` for every j,
-    with one vectorized call per group of equal margins.
+def margin_groups(margins: Sequence[MarginSpec]) -> tuple[tuple, np.ndarray]:
+    """``(kinds, label)``: the distinct margins, and for each column the index
+    of its margin in ``kinds``; equal margins are one kind. The one grouping
+    rule: callers pass the pair, or ``(kinds, label[cols])``, to _columnwise."""
+    if margins.count(margins[0]) == len(margins):
+        return (margins[0],), np.zeros(len(margins), dtype=np.intp)
+    kinds: dict[MarginSpec, int] = {}
+    label = [kinds.setdefault(m, len(kinds)) for m in margins]
+    return tuple(kinds), np.array(label, dtype=np.intp)
 
-    Columns are grouped by object identity first, which needs no hashing
-    of the margins; distinct but equal objects then join one group.
-    """
-    # Works on values.T, whose first axis indexes the columns: for a
-    # column-major sample matrix every group gathers and scatters whole
-    # contiguous columns.
+
+def _columnwise(groups, method: str, values) -> np.ndarray:
+    """``kinds[label[j]].<method>`` applied to ``values[..., j]`` for every j,
+    one vectorized call per kind, with ``(kinds, label) = groups``."""
+    # on values.T, whose first axis indexes the columns: for a column-major
+    # sample matrix every kind gathers and scatters whole contiguous columns
+    kinds, label = groups
     vt = np.asarray(values, dtype=float).T
-    margins = tuple(margins)
-    first = margins[0]
-    if margins.count(first) == len(margins):
-        return np.asarray(getattr(first, method)(vt), dtype=float).T
-    by_object: dict[int, list[int]] = {}
-    for j, m in enumerate(margins):
-        by_object.setdefault(id(m), []).append(j)
-    groups: dict[MarginSpec, list[int]] = {}
-    for cols in by_object.values():
-        groups.setdefault(margins[cols[0]], []).extend(cols)
+    if len(kinds) == 1:
+        return np.asarray(getattr(kinds[0], method)(vt), dtype=float).T
     out = np.empty(vt.shape)
-    for margin, cols in groups.items():
+    for k, margin in enumerate(kinds):
+        cols = np.flatnonzero(label == k)
         out[cols] = getattr(margin, method)(vt[cols])
     return out.T
 
 
 def margin_from_dict(doc: dict) -> MarginSpec:
-    kind = doc.get("kind")
+    kind = _json_field(doc, "kind", "a margin")
     if kind == "frechet":
-        return Frechet(alpha=float(doc["alpha"]), scale=float(doc.get("scale", 1.0)))
+        alpha = float(_json_field(doc, "alpha", "a frechet margin"))
+        return Frechet(alpha=alpha, scale=float(doc.get("scale", 1.0)))
     if kind == "tabulated":
-        return TabulatedContinuous(doc["grid"], doc["density"])
+        what = "a tabulated margin"
+        return TabulatedContinuous(_json_field(doc, "grid", what), _json_field(doc, "density", what))
     raise ValueError(f"unknown margin kind: {kind!r}")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionOverflowError, NonStationaryError, NotPureMarError
+from .errors import DimensionOverflowError, NonStationaryError, NotPureMarError, _json_field
 
 MAX_DESIGN_ENTRIES = 200_000_000
 
@@ -177,7 +177,7 @@ def marma_spec_to_dict(spec: MarmaSpec) -> dict:
 
 def marma_spec_from_dict(doc: dict) -> MarmaSpec:
     return MarmaSpec(
-        phi=tuple(doc["phi"]),
+        phi=tuple(_json_field(doc, "phi", "a MARMA spec")),
         theta=tuple(doc.get("theta", ())),
         p=int(doc.get("p", 500)),
         n_observed=int(doc.get("n_observed", 100)),

@@ -20,6 +20,7 @@ from .errors import (
     NegativeEntryError,
     ZeroColumnError,
     ZeroRowError,
+    _json_field,
 )
 from .margins import MarginSpec, _readonly, margin_from_dict
 
@@ -188,11 +189,8 @@ def model_to_dict(model: MaxLinearModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MaxLinearModel:
-    # one object per distinct margin, so that _columnwise groups columns
-    # by identity alone
-    seen: dict[MarginSpec, MarginSpec] = {}
-    margins = [seen.setdefault(m, m) for m in map(margin_from_dict, doc["margins"])]
-    return validate_model(np.array(doc["A"], dtype=float), margins)
+    margins = [margin_from_dict(m) for m in _json_field(doc, "margins", "a model")]
+    return validate_model(np.array(_json_field(doc, "A", "a model"), dtype=float), margins)
 
 
 def save_model(model: MaxLinearModel, path) -> None:

@@ -37,7 +37,7 @@ from .hitting import (
     compute_upper_bounds,
     hitting_structure,
 )
-from .margins import MarginSpec, _columnwise, standard_frechet
+from .margins import MarginSpec, _columnwise, margin_groups, standard_frechet
 from .model import (
     MaxLinearModel,
     max_linear_apply_batch,
@@ -117,8 +117,9 @@ def scenario_log_weights(
               + sum_j log F_j(zhat_j).
     """
     z_hat = np.asarray(z_hat, dtype=float)
-    log_pdf = _columnwise(margins, "log_pdf", z_hat)
-    log_cdf = _columnwise(margins, "log_cdf", z_hat)
+    groups = margin_groups(margins)
+    log_pdf = _columnwise(groups, "log_pdf", z_hat)
+    log_cdf = _columnwise(groups, "log_cdf", z_hat)
     base = log_cdf.sum()
     log_z = np.log(z_hat)
     per_col = log_z + log_pdf - log_cdf
@@ -157,8 +158,9 @@ def factorization_gap(model: MaxLinearModel, x, rel_tol=DEFAULT_REL_TOL) -> floa
     structure = hitting_structure(model, x, rel_tol)
     scenarios = enumerate_relevant_scenarios(structure.H)
     log_total = logsumexp(scenario_log_weights(scenarios, model.margins, structure.z_hat))
-    terms, starts = _log_candidate_terms(structure, model.margins)
-    log_cdf = _columnwise(model.margins, "log_cdf", structure.z_hat)
+    groups = margin_groups(model.margins)
+    terms, starts = _log_candidate_terms(structure, groups)
+    log_cdf = _columnwise(groups, "log_cdf", structure.z_hat)
     log_prod = sum(
         logsumexp(t) + log_cdf[bar].sum()
         for t, bar in zip(np.split(terms, starts[1:]), structure.J_bar)

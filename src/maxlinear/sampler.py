@@ -23,7 +23,7 @@ from .errors import (
     ZeroMassBelowBoundError,
 )
 from .hitting import DEFAULT_REL_TOL
-from .margins import MarginSpec, _columnwise
+from .margins import MarginSpec, _columnwise, margin_groups
 from .model import BLOCK_ELEMENTS, check_coefficients, max_linear_apply_batch, validate_model
 
 
@@ -42,6 +42,11 @@ class RngStream:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=(int(self.seed), int(self.stream_id)))
         )
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -77,7 +82,8 @@ def _truncated_matrix(
     ZeroMassBelowBoundError
         if the log-CDF at a bound is -inf or a log-quantile is NaN.
     """
-    log_f = _columnwise(margins, "log_cdf", bounds)
+    kinds, label = margin_groups(margins)
+    log_f = _columnwise((kinds, label), "log_cdf", bounds)
     empty = np.flatnonzero(log_f == -np.inf)
     if empty.size:
         raise ZeroMassBelowBoundError(
@@ -95,7 +101,7 @@ def _truncated_matrix(
     for start in range(0, bounds.size, step):
         stop = start + step
         block = buf[start:stop]
-        block[...] = _columnwise(margins[start:stop], "log_quantile", block.T).T
+        block[...] = _columnwise((kinds, label[start:stop]), "log_quantile", block.T).T
         np.minimum(block, below[start:stop], out=block)
         np.maximum(block, tiny, out=block)
         if np.isnan(block.max()):  # the clamps pass NaN through
@@ -119,8 +125,9 @@ def draw_conditional_batch(
 
     Returns (Z, chosen) with shapes (num, p) and (num, rank); Z is
     column-major (``Z.T`` is C-contiguous), one contiguous column per
-    factor.
+    factor. ``num`` must be an integer >= 1 (else ValueError).
     """
+    _check_integer("num", num, 1)
     gen = _as_generator(rng)
     cols, starts = _joined(law.structure.J)
     last = np.append(starts[1:], cols.size) - 1
@@ -179,9 +186,8 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     The map skips the entries of ``B`` that cannot decide their row
     (see :func:`row_floors`); ``Y`` equals ``B (max-times) Z`` exactly.
     """
-    for name, value, low in (("num_samples", task.num_samples, 1), ("seed", task.seed, 0)):
-        if not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_integer("num_samples", task.num_samples, 1)
+    _check_integer("seed", task.seed, 0)
     A = np.asarray(task.A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError(f"A must be 2-d, got shape {A.shape}")

@@ -113,6 +113,28 @@ def test_inconsistent_observation_exits_nonzero(model_files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("model", {"A": [[1.0]]}, "margins"),
+    ("model", {"A": [[1.0]], "margins": [{"kind": "frechet"}]}, "alpha"),
+    ("model", [[1.0]], "margins"),
+    ("predict", {"rows": [[1.0, 1.0, 1.0]]}, "B"),
+    ("marma", {"theta": []}, "phi"),
+])
+def test_malformed_input_files_exit_nonzero(model_files, tmp_path, capsys, command, doc, key):
+    # each gave a KeyError or TypeError traceback
+    model_path, obs_path = model_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "model": ["sample", "--model", str(bad), "--obs", obs_path],
+        "predict": ["sample", "--model", model_path, "--obs", obs_path, "--predict", str(bad)],
+        "marma": ["marma", "--spec", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_rel_tol_of_one_exits_nonzero(model_files, capsys):
     model_path, obs_path = model_files
     assert main(["sample", "--model", model_path, "--obs", obs_path, "--rel-tol", "1"]) == 1

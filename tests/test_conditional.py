@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 
 from maxlinear import (
     Frechet,
+    MarginSpec,
     TabulatedContinuous,
     class_weights,
     conditional_law,
@@ -133,6 +134,28 @@ def test_weights_vanish_where_zhat_lies_beyond_the_support():
         InconsistentObservationError, match="every scenario has zero density"
     ):
         scenario_probabilities([(0,)], [margin], np.array([5.0]))
+    # density 0.5 on [2, 4] for column 1 of A = [[1, 1], [1, 0.1]] at
+    # x = (1, 1): column 1 is no candidate, but no Z_1 <= zhat_1 = 1
+    # exists, so the factor F_1(zhat_1) common to the class is 0
+    margins = [standard_frechet(1.0), TabulatedContinuous([2.0, 4.0], [0.5, 0.5])]
+    model = validate_model([[1.0, 1.0], [1.0, 0.1]], margins)
+    with pytest.raises(InconsistentObservationError, match="column 1 has no mass below"):
+        conditional_law(model, np.array([1.0, 1.0]))
+
+
+def test_weights_evaluate_the_candidate_columns_only(monkeypatch):
+    # x = (1, 1, 3) on the worked example has candidates J = ({0}, {2}),
+    # so the margin term is evaluated at two bounds, not at all three
+    sizes = []
+    for cls in (Frechet, MarginSpec):
+        def counted(self, z, method=cls.log_reversed_hazard):
+            sizes.append(np.size(z))
+            return method(self, z)
+
+        monkeypatch.setattr(cls, "log_reversed_hazard", counted)
+    margins = [standard_frechet(1.0), _gamma2_margin(), Frechet(alpha=2.0, scale=0.5)]
+    law = conditional_law(validate_model(TRIL3, margins), np.array([1.0, 1.0, 3.0]))
+    assert sum(sizes) == sum(map(len, law.structure.J)) == 2
 
 
 def test_enumerate_scenarios_triangular():

@@ -15,7 +15,7 @@ from maxlinear import (
     standard_frechet,
     validate_model,
 )
-from maxlinear.margins import _columnwise, margin_from_dict
+from maxlinear.margins import _columnwise, margin_from_dict, margin_groups
 from maxlinear.sampler import PredictionTask, run_prediction
 
 
@@ -138,6 +138,11 @@ def test_tabulated_basic():
     assert m.pdf(1.0) == pytest.approx(1.0)
     assert m.pdf(3.0) == 0.0
     assert m.quantile(0.5) == pytest.approx(1.0, abs=1e-4)
+    # lower_end is the last knot with CDF 0, even where the density is 0
+    # on a whole first segment
+    late = TabulatedContinuous([0.5, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 0.0])
+    assert (m.lower_end, late.lower_end, standard_frechet(1.0).lower_end) == (0.0, 1.0, 0.0)
+    assert late.cdf(1.0) == 0.0 < late.cdf(1.5)
 
 
 def test_tabulated_log_quantile_is_the_default():
@@ -215,10 +220,10 @@ def test_columnwise_groups_equal_margins(monkeypatch):
         expected = np.column_stack(
             [getattr(m, method)(values[:, j]) for j, m in enumerate(margins)]
         )
-        assert np.array_equal(_columnwise(margins, method, values), expected)
+        assert np.array_equal(_columnwise(margin_groups(margins), method, values), expected)
     frechet_calls = _count_quantile_calls(monkeypatch, Frechet)
     tabulated_calls = _count_quantile_calls(monkeypatch, TabulatedContinuous)
-    _columnwise(margins, "quantile", values)
+    _columnwise(margin_groups(margins), "quantile", values)
     assert (len(frechet_calls), len(tabulated_calls)) == (2, 1)
 
 
@@ -293,33 +298,45 @@ def _gamma2_margin():
 @pytest.mark.parametrize("layout", ["1-d", "C", "F"])
 def test_columnwise_matches_per_column_in_every_layout(layout):
     # the interleaved Frechet(1), Frechet(2, 0.5) and tabulated Gamma(2)
-    # columns of the benchmark's mixed-margins workload
+    # columns of the benchmark's mixed-margins workload, shared or as one
+    # equal copy per column, and a single kind; each on all eight columns,
+    # on a subset of candidate columns and on a block of adjacent columns
     kinds = (standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _gamma2_margin())
-    margins = [kinds[j % 3] for j in range(8)]
+    shared = [kinds[j % 3] for j in range(8)]
+    copies = [margin_from_dict(m.to_dict()) for m in shared]
+    single = [kinds[1]] * 8
     u = np.random.default_rng(5).random((6, 8))
     if layout == "1-d":
         u = u[0]
     elif layout == "F":
         u = np.asfortranarray(u)
-    for method, values in (
-        ("cdf", 4.0 * u),
-        ("log_cdf", 4.0 * u),
-        ("log_pdf", 4.0 * u),
-        ("quantile", u),
-        ("log_quantile", np.log(u)),
-    ):
-        out = _columnwise(margins, method, values)
-        expected = np.stack(
-            [getattr(m, method)(values[..., j]) for j, m in enumerate(margins)], axis=-1
-        )
-        assert np.array_equal(out, expected)
-        # a column-major input keeps its columns contiguous
-        assert out.T.flags.c_contiguous or layout == "C"
+    for margins in (shared, copies, single):
+        groups, label = margin_groups(margins)
+        for cols in (np.arange(8), np.array([1, 2, 4, 7]), slice(2, 6)):
+            subset = np.array(margins, dtype=object)[cols]
+            for method, values in (
+                ("cdf", 4.0 * u),
+                ("log_cdf", 4.0 * u),
+                ("log_pdf", 4.0 * u),
+                ("log_reversed_hazard", 4.0 * u),
+                ("quantile", u),
+                ("log_quantile", np.log(u)),
+            ):
+                values = values[..., cols]
+                out = _columnwise((groups, label[cols]), method, values)
+                expected = np.stack(
+                    [getattr(m, method)(values[..., j]) for j, m in enumerate(subset)],
+                    axis=-1,
+                )
+                assert np.array_equal(out, expected)
+                # a column-major input keeps its columns contiguous
+                assert out.T.flags.c_contiguous or layout == "C"
 
 
 def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):
-    # load_model keeps one object per distinct margin, for margins that
-    # share one object and for margins built as one object per column
+    # load_model builds one object per column; margin_groups still finds
+    # one kind per distinct margin, for margins that share one object and
+    # for margins built as one object per column
     def kinds():
         return standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _gamma2_margin()
 
@@ -337,11 +354,11 @@ def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):
     for margins, calls in ((shared, (1, 0)), (per_column, (2, 1))):
         model = validate_model(np.ones((1, len(margins))), margins)
         save_model(model, tmp_path / "model.json")
-        loaded = load_model(tmp_path / "model.json")
-        merged = loaded.margins
-        assert all((a is b) == (a == b) for a in merged for b in merged)
+        groups, label = margin_groups(load_model(tmp_path / "model.json").margins)
+        assert len(groups) == len(set(margins)) == sum(calls)
+        assert [groups[k] for k in label] == margins
         values = np.linspace(0.1, 0.9, 2 * len(margins)).reshape(2, -1)
         want = np.stack([m.quantile(values[:, j]) for j, m in enumerate(margins)], axis=1)
         del frechet_calls[:], tabulated_calls[:]
-        assert np.array_equal(_columnwise(loaded.margins, "quantile", values), want)
+        assert np.array_equal(_columnwise((groups, label), "quantile", values), want)
         assert (len(frechet_calls), len(tabulated_calls)) == calls

@@ -25,7 +25,7 @@ from maxlinear import (
 )
 from maxlinear.errors import AcceptanceTooRareError
 from maxlinear.hitting import compute_upper_bounds
-from maxlinear.margins import _columnwise, margin_from_dict
+from maxlinear.margins import _columnwise, margin_from_dict, margin_groups
 from maxlinear.model import live_entries, max_linear_apply_batch
 from maxlinear.oracles import (
     ones_lower_triangular_model,
@@ -90,6 +90,13 @@ def test_truncated_draw_zero_mass():
     bounds = np.array([1.0, 1e-320])
     with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
         _truncated_matrix((standard_frechet(1.0),) * 2, bounds, RngStream(0).generator(), 1)
+    # the worked example at alpha 4 and x = (1, 1, 3) 1e-80: log F(1e-80)
+    # = -1e320 is -inf too, yet the mass below zhat is positive, so the
+    # law builds and only the draw raises
+    model = validate_model(np.tril(np.ones((3, 3))), [standard_frechet(4.0)] * 3)
+    law = conditional_law(model, np.array([1.0, 1.0, 3.0]) * 1e-80)
+    with pytest.raises(ZeroMassBelowBoundError, match="column 0"):
+        draw_conditional_batch(law, 1, RngStream(0))
 
 
 def test_truncated_matrix_heterogeneous_path():
@@ -108,8 +115,8 @@ def test_truncated_matrix_blocks_match_one_pass():
     bounds = RngStream(5).generator().uniform(0.5, 3.0, 120)
     vals = _truncated_matrix(margins, bounds, RngStream(6).generator(), 700)
     log_u = np.log(RngStream(6).generator().random((120, 700)))
-    log_u += _columnwise(margins, "log_cdf", bounds)[:, None]
-    assert np.array_equal(vals, _columnwise(margins, "log_quantile", log_u.T))
+    log_u += _columnwise(margin_groups(margins), "log_cdf", bounds)[:, None]
+    assert np.array_equal(vals, _columnwise(margin_groups(margins), "log_quantile", log_u.T))
 
 class _FixedQuantile(MarginSpec):
     """Unit Frechet whose quantile always returns ``value``."""
@@ -159,7 +166,7 @@ def test_truncated_values_lie_strictly_inside(seed, log10_bounds, alpha, scale, 
     bounds = 10.0 ** np.array(log10_bounds)
     frechet, gamma2 = Frechet(alpha, scale), _gamma2_margin()
     margins = tuple(gamma2 if t else frechet for t in tabulated[: bounds.size])
-    log_f = _columnwise(margins, "log_cdf", bounds)
+    log_f = _columnwise(margin_groups(margins), "log_cdf", bounds)
     if np.any(log_f == -np.inf):
         with pytest.raises(ZeroMassBelowBoundError):
             _truncated_matrix(margins, bounds, RngStream(seed).generator(), 40)
@@ -168,7 +175,7 @@ def test_truncated_values_lie_strictly_inside(seed, log10_bounds, alpha, scale, 
     assert np.all(np.isfinite(vals)) and np.all((vals > 0) & (vals < bounds))
     with np.errstate(divide="ignore"):
         log_u = np.log(RngStream(seed).generator().random((bounds.size, 40)))
-    raw = _columnwise(margins, "log_quantile", (log_u + log_f[:, None]).T)
+    raw = _columnwise(margin_groups(margins), "log_quantile", (log_u + log_f[:, None]).T)
     inside = (raw > 0) & (raw < bounds)
     assert np.array_equal(vals[inside], raw[inside])
 
@@ -440,6 +447,28 @@ def test_run_prediction_with_free_columns():
     assert np.allclose(np.max(result.Z[:, :2], axis=1), 2.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("p_free, calls", [(0, 2), (2, 3)])
+def test_one_request_groups_the_margins_once_per_layer(monkeypatch, p_free, calls):
+    # once for the class weights and once per truncated draw (the
+    # conditioned columns, then the free ones), never per draw block:
+    # 20,000 samples put one column in a block
+    seen = []
+
+    def counted(margins):
+        seen.append(len(margins))
+        return margin_groups(margins)
+
+    monkeypatch.setattr("maxlinear.conditional.margin_groups", counted)
+    monkeypatch.setattr("maxlinear.sampler.margin_groups", counted)
+    kinds = (standard_frechet(1.0), _gamma2_margin(), Frechet(alpha=2.0, scale=0.5))
+    A = np.hstack([np.tril(np.ones((3, 3))), np.zeros((3, p_free))])
+    run_prediction(PredictionTask(
+        A=A, B=np.ones((2, A.shape[1])), margins=(kinds * 2)[: A.shape[1]],
+        x=np.array([1.0, 1.0, 3.0]), num_samples=20_000, seed=5,
+    ))
+    assert seen == [3, 3, 2][:calls]
+
+
 def test_free_columns_follow_their_margins():
     # a free factor is its margin truncated below +inf: the margin itself
     frechet = Frechet(alpha=2.0, scale=0.5)
@@ -509,6 +538,11 @@ def test_run_prediction_rejects_bad_count():
         with pytest.raises(ValueError, match="num_samples"):
             run_prediction(dataclasses.replace(task, num_samples=bad))
     assert run_prediction(dataclasses.replace(task, num_samples=np.int64(3))).Z.shape == (3, 2)
+    # and the draw itself: 0 gave "zero-size array to reduction operation"
+    law = conditional_law(validate_model(task.A, task.margins), task.x)
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="^num must be an integer >= 1"):
+            draw_conditional_batch(law, bad, RngStream(0))
 
 
 def test_run_prediction_rejects_bad_seed():
