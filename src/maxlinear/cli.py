@@ -39,15 +39,15 @@ from .smith import load_smith_spec, smith_design
 
 
 def _load_vector(path: str) -> np.ndarray:
-    return np.atleast_1d(np.loadtxt(path, delimiter=",", ndmin=1).astype(float)).ravel()
+    # one row or one column loads 1-d; validate_observations rejects the rest
+    return np.loadtxt(path, delimiter=",", ndmin=1)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str):  # run_prediction checks the matrix
     if path.endswith(".json"):
         doc = json.loads(Path(path).read_text())
-        B = _json_field(doc, "B", "a prediction matrix") if isinstance(doc, dict) else doc
-        return np.asarray(B, dtype=float)
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2).astype(float))
+        return _json_field(doc, "B", "a prediction matrix") if isinstance(doc, dict) else doc
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
@@ -92,7 +92,7 @@ def _sample_and_report(args, A, margins, x, B, threshold=None) -> int:
         seed=args.seed,
         rel_tol=args.rel_tol,
     ))
-    Y = result.Y if B.shape[0] else None
+    Y = result.Y if result.Y.shape[1] else None
     if args.out:
         write_sample_csv(args.out, Z=result.Z if (args.emit_z or Y is None) else None, Y=Y)
     target = result.Z if Y is None else Y

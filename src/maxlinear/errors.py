@@ -4,6 +4,12 @@ Every rejected input maps to exactly one error class; callers can catch
 ``MaxLinearError`` to handle anything raised by this package.
 """
 
+import functools
+import inspect
+
+# the most entries a design builder (MARMA or Smith) allocates
+MAX_DESIGN_ENTRIES = 200_000_000
+
 
 class MaxLinearError(Exception):
     """Base class for all maxlinear errors."""
@@ -15,6 +21,42 @@ def _json_field(doc, key: str, what: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{what} must be a JSON object with a {key!r} key")
     return doc[key]
+
+
+def _from_json(cls, doc, what: str):
+    """``cls(**doc)`` for the JSON ``doc`` of a file, so that ``cls`` declares
+    each key's name, default and type; a ValueError naming ``what`` if ``doc``
+    is not an object, has a key ``cls`` does not take or lacks one it needs."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    known = _parameters(cls)
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; it takes {list(known)}")
+    try:
+        return cls(**doc)
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+@functools.cache
+def _parameters(cls) -> tuple[str, ...]:
+    # one signature per class, not one per margin of a model file
+    return tuple(inspect.signature(cls).parameters)
+
+
+def _converted(name: str, convert, value, **kwargs):
+    """``convert(value, **kwargs)``, or a ValueError naming ``name``."""
+    try:
+        return convert(value, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid {name!r}: {exc}") from None
+
+
+def _convert_fields(obj, **converters) -> None:
+    """Convert the named fields of the frozen dataclass ``obj`` in place."""
+    for name, convert in converters.items():
+        object.__setattr__(obj, name, _converted(name, convert, getattr(obj, name)))
 
 
 # --- model construction -------------------------------------------------
@@ -98,7 +140,12 @@ class NotPureMarError(MaxLinearError):
 
 
 class DimensionOverflowError(MaxLinearError):
-    """Requested design matrices would be unreasonably large."""
+    """Requested design matrices would hold more than MAX_DESIGN_ENTRIES entries."""
+
+
+def _check_design_size(rows: int, cols: int) -> None:
+    if rows * cols > MAX_DESIGN_ENTRIES:
+        raise DimensionOverflowError(f"design would hold {rows * cols} entries")
 
 
 class AssumptionAViolationError(MaxLinearError):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DensityNormalizationError, _json_field
+from .errors import DensityNormalizationError, _convert_fields, _converted, _from_json, _json_field
 
 DENSITY_TOL = 1e-9
 # buckets of [0, 1) per grid point in a tabulated margin's quantile index
@@ -81,6 +81,7 @@ class Frechet(MarginSpec):
     scale: float = 1.0
 
     def __post_init__(self):
+        _convert_fields(self, alpha=float, scale=float)
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (self.scale > 0 and np.isfinite(self.scale)):
@@ -137,8 +138,9 @@ class TabulatedContinuous(MarginSpec):
     """
 
     def __init__(self, grid, density):
-        grid = np.asarray(grid, dtype=float)
-        density = np.asarray(density, dtype=float)
+        # + 0.0 turns -0.0 into +0.0: equal tables have equal bytes
+        grid = _converted("grid", np.asarray, grid, dtype=float) + 0.0
+        density = _converted("density", np.asarray, density, dtype=float) + 0.0
         if grid.ndim != 1 or grid.shape != density.shape or grid.size < 2:
             raise ValueError("grid and density must be 1-d arrays of equal length >= 2")
         if not np.all(np.isfinite(grid)):
@@ -162,7 +164,8 @@ class TabulatedContinuous(MarginSpec):
         self.density = _readonly(density)
         self._cdf = _readonly(cdf)
         self.lower_end = float(grid[np.flatnonzero(cdf == 0.0)[-1]])
-        self._hash = hash((self.grid.tobytes(), self.density.tobytes()))
+        self._key = (self.grid.tobytes(), self.density.tobytes())
+        self._hash = hash(self._key)
         # the quantile's tables: each segment's slope as np.interp forms
         # it, and for each of the equal buckets of [0, 1) the last knot at
         # or below the bucket's left edge (a zero-width segment gets an
@@ -225,11 +228,7 @@ class TabulatedContinuous(MarginSpec):
         }
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TabulatedContinuous)
-            and np.array_equal(self.grid, other.grid)
-            and np.array_equal(self.density, other.density)
-        )
+        return isinstance(other, TabulatedContinuous) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -264,13 +263,11 @@ def _columnwise(groups, method: str, values) -> np.ndarray:
 
 def margin_from_dict(doc: dict) -> MarginSpec:
     kind = _json_field(doc, "kind", "a margin")
-    if kind == "frechet":
-        alpha = float(_json_field(doc, "alpha", "a frechet margin"))
-        return Frechet(alpha=alpha, scale=float(doc.get("scale", 1.0)))
-    if kind == "tabulated":
-        what = "a tabulated margin"
-        return TabulatedContinuous(_json_field(doc, "grid", what), _json_field(doc, "density", what))
-    raise ValueError(f"unknown margin kind: {kind!r}")
+    if kind not in ("frechet", "tabulated"):
+        raise ValueError(f"unknown margin kind: {kind!r}")
+    cls = Frechet if kind == "frechet" else TabulatedContinuous
+    fields = {key: value for key, value in doc.items() if key != "kind"}
+    return _from_json(cls, fields, f"a {kind} margin")
 
 
 def standard_frechet(alpha: float = 1.0) -> Frechet:

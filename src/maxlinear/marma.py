@@ -11,21 +11,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionOverflowError, NonStationaryError, NotPureMarError, _json_field
+from .errors import (
+    NonStationaryError, NotPureMarError, _check_design_size, _convert_fields, _from_json
+)
 
-MAX_DESIGN_ENTRIES = 200_000_000
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
 class MarmaSpec:
     """Parameters of a truncated MARMA(m, q) prediction problem.
 
-    Innovations are fixed to standard 1-Frechet.
+    Innovations are fixed to standard 1-Frechet. The constructor converts
+    each field to its type, so a spec file takes the values code does.
     """
 
     phi: tuple[float, ...]
@@ -35,8 +40,7 @@ class MarmaSpec:
     N_horizon: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+        _convert_fields(self, phi=_floats, theta=_floats, p=int, n_observed=int, N_horizon=int)
         if any(v < 0 for v in self.phi) or any(v < 0 for v in self.theta):
             raise ValueError("phi and theta must be nonnegative")
         if self.phi and max(self.phi) >= 1.0:
@@ -114,10 +118,7 @@ def marma_design(psi, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     psi = np.asarray(psi, dtype=float)
     p = psi.size - 1
     total_cols = p + n + N
-    if (n + N) * total_cols > MAX_DESIGN_ENTRIES:
-        raise DimensionOverflowError(
-            f"design would hold {(n + N) * total_cols} entries"
-        )
+    _check_design_size(n + N, total_cols)
     band = psi[::-1]
     M = np.zeros((n + N, total_cols))
     for t in range(n + N):
@@ -165,29 +166,9 @@ def require_pure_mar(spec: MarmaSpec) -> None:
 
 # --- spec file format -----------------------------------------------------
 
-def marma_spec_to_dict(spec: MarmaSpec) -> dict:
-    return {
-        "phi": list(spec.phi),
-        "theta": list(spec.theta),
-        "p": spec.p,
-        "n_observed": spec.n_observed,
-        "N_horizon": spec.N_horizon,
-    }
-
-
-def marma_spec_from_dict(doc: dict) -> MarmaSpec:
-    return MarmaSpec(
-        phi=tuple(_json_field(doc, "phi", "a MARMA spec")),
-        theta=tuple(doc.get("theta", ())),
-        p=int(doc.get("p", 500)),
-        n_observed=int(doc.get("n_observed", 100)),
-        N_horizon=int(doc.get("N_horizon", 50)),
-    )
-
-
 def load_marma_spec(path) -> MarmaSpec:
-    return marma_spec_from_dict(json.loads(Path(path).read_text()))
+    return _from_json(MarmaSpec, json.loads(Path(path).read_text()), "a MARMA spec")
 
 
 def save_marma_spec(spec: MarmaSpec, path) -> None:
-    Path(path).write_text(json.dumps(marma_spec_to_dict(spec)))
+    Path(path).write_text(json.dumps(asdict(spec)))

@@ -20,6 +20,8 @@ from .errors import (
     NegativeEntryError,
     ZeroColumnError,
     ZeroRowError,
+    _converted,
+    _from_json,
     _json_field,
 )
 from .margins import MarginSpec, _readonly, margin_from_dict
@@ -54,13 +56,15 @@ def check_coefficients(M, name: str) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        if ``M`` is not an array of numbers; the message names it.
     DimensionMismatchError
         if ``M`` is not 2-d.
     NegativeEntryError
         if any entry is negative or non-finite; the message names the
         offending columns.
     """
-    M = np.asarray(M, dtype=float)
+    M = _converted(name, np.asarray, M, dtype=float)
     if M.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-d, got shape {M.shape}")
     # min >= 0 rejects NaN and negative values, max < inf rejects +inf
@@ -181,21 +185,13 @@ def max_linear_apply_batch(A, Z, upper, floor) -> np.ndarray:
 
 # --- model file format ---------------------------------------------------
 
-def model_to_dict(model: MaxLinearModel) -> dict:
-    return {
-        "A": model.A.tolist(),
-        "margins": [m.to_dict() for m in model.margins],
-    }
-
-
-def model_from_dict(doc: dict) -> MaxLinearModel:
-    margins = [margin_from_dict(m) for m in _json_field(doc, "margins", "a model")]
-    return validate_model(np.array(_json_field(doc, "A", "a model"), dtype=float), margins)
-
-
 def save_model(model: MaxLinearModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)))
+    doc = {"A": model.A.tolist(), "margins": [m.to_dict() for m in model.margins]}
+    Path(path).write_text(json.dumps(doc))
 
 
 def load_model(path) -> MaxLinearModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    doc = json.loads(Path(path).read_text())
+    margins = _converted("margins", list, _json_field(doc, "margins", "a model"))
+    margins = [margin_from_dict(m) for m in margins]
+    return _from_json(validate_model, {**doc, "margins": margins}, "a model")

@@ -10,12 +10,12 @@ set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AssumptionAViolationError
+from .errors import AssumptionAViolationError, _check_design_size, _convert_fields, _from_json
 
 DEFAULT_FLOOR_RATIO = 1e-12
 
@@ -37,13 +37,18 @@ def smith_kernel(t1, t2, rho: float, beta1: float, beta2: float):
     return out if out.ndim else float(out)
 
 
+def _points(points) -> tuple[tuple[float, float], ...]:
+    return tuple((float(a), float(b)) for a, b in points)
+
+
 @dataclass(frozen=True)
 class SmithSpec:
     """Discretization and observation layout for the spatial model.
 
     The mesh has cell width h = M/q and covers [-M, M]^2 with (2q)^2
     cells indexed by -q <= j1, j2 <= q-1 (cell centers at
-    ((j1+1/2)h, (j2+1/2)h)).
+    ((j1+1/2)h, (j2+1/2)h)). The constructor converts each field to its
+    type, so a spec file takes the values code does.
     """
 
     rho: float = 0.0
@@ -56,18 +61,16 @@ class SmithSpec:
     grid: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        _convert_fields(
+            self, rho=float, beta1=float, beta2=float, M=float, q=int, alpha=float,
+            sites=_points, grid=_points,
+        )
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
         if self.beta1 <= 0 or self.beta2 <= 0 or self.M <= 0 or self.alpha <= 0:
             raise ValueError("beta1, beta2, M and alpha must be positive")
         if self.q < 1:
             raise ValueError("q must be a positive integer")
-        object.__setattr__(
-            self, "sites", tuple((float(a), float(b)) for a, b in self.sites)
-        )
-        object.__setattr__(
-            self, "grid", tuple((float(a), float(b)) for a, b in self.grid)
-        )
 
     @property
     def h(self) -> float:
@@ -125,6 +128,7 @@ def smith_design(
     """
     if not spec.sites:
         raise ValueError("spec has no observed sites")
+    _check_design_size(len(spec.sites) + len(spec.grid), spec.num_cells)
     A_full = design_rows(spec, spec.sites)
     B_full = (
         design_rows(spec, spec.grid)
@@ -144,35 +148,9 @@ def smith_design(
 
 # --- spec file format -----------------------------------------------------
 
-def smith_spec_to_dict(spec: SmithSpec) -> dict:
-    return {
-        "rho": spec.rho,
-        "beta1": spec.beta1,
-        "beta2": spec.beta2,
-        "M": spec.M,
-        "q": spec.q,
-        "alpha": spec.alpha,
-        "sites": [list(s) for s in spec.sites],
-        "grid": [list(s) for s in spec.grid],
-    }
-
-
-def smith_spec_from_dict(doc: dict) -> SmithSpec:
-    return SmithSpec(
-        rho=float(doc.get("rho", 0.0)),
-        beta1=float(doc.get("beta1", 1.0)),
-        beta2=float(doc.get("beta2", 1.0)),
-        M=float(doc.get("M", 4.0)),
-        q=int(doc.get("q", 25)),
-        alpha=float(doc.get("alpha", 1.0)),
-        sites=tuple(tuple(s) for s in doc.get("sites", [])),
-        grid=tuple(tuple(s) for s in doc.get("grid", [])),
-    )
-
-
 def load_smith_spec(path) -> SmithSpec:
-    return smith_spec_from_dict(json.loads(Path(path).read_text()))
+    return _from_json(SmithSpec, json.loads(Path(path).read_text()), "a Smith spec")
 
 
 def save_smith_spec(spec: SmithSpec, path) -> None:
-    Path(path).write_text(json.dumps(smith_spec_to_dict(spec)))
+    Path(path).write_text(json.dumps(asdict(spec)))

@@ -113,26 +113,50 @@ def test_inconsistent_observation_exits_nonzero(model_files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+FRECHET = {"kind": "frechet", "alpha": 1.0}
+ONES = [[1.0, 1.0, 1.0]] * 3
+
+
 @pytest.mark.parametrize("command, doc, key", [
     ("model", {"A": [[1.0]]}, "margins"),
     ("model", {"A": [[1.0]], "margins": [{"kind": "frechet"}]}, "alpha"),
     ("model", [[1.0]], "margins"),
     ("predict", {"rows": [[1.0, 1.0, 1.0]]}, "B"),
     ("marma", {"theta": []}, "phi"),
+    ("model", {"A": ONES, "margins": 5}, "margins"),
+    ("model", {"A": ONES, "margins": [{"kind": "frechet", "alpha": [1]}] * 3}, "alpha"),
+    ("model", {"A": ONES, "margins": [{**FRECHET, "scale": None}] * 3}, "scale"),
+    ("model", {"A": {"a": 1}, "margins": [FRECHET] * 3}, "A"),
+    ("smith", [1, 2], None),
+    ("smith", {"sites": 5}, "sites"),
+    ("smith", {"sites": [[0.0, 0.0]], "grid": [1, 2]}, "grid"),
+    ("marma", {"phi": 0.5}, "phi"),
+    ("marma", {"phi": [0.5], "theta": 3}, "theta"),
+    ("marma", {"phi": [0.5], "p": [1]}, "p"),
+    ("predict", {"B": {"a": 1}}, "B"),
+    ("smith", {"sites": [[0.0, 0.0]] * 3, "qq": 4}, "qq"),
+    ("marma", {"phi": [0.5], "N_horizont": 4}, "N_horizont"),
+    ("model", {"A": ONES, "margins": [FRECHET] * 3, "note": "x"}, "note"),
+    pytest.param("obs", "1,1,3\n1,1,3\n", None, id="obs-two-rows-None"),
 ])
 def test_malformed_input_files_exit_nonzero(model_files, tmp_path, capsys, command, doc, key):
-    # each gave a KeyError or TypeError traceback
+    # each gave a traceback, or ran with a misspelt key ignored or an
+    # observation matrix read as one vector
     model_path, obs_path = model_files
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = {
         "model": ["sample", "--model", str(bad), "--obs", obs_path],
         "predict": ["sample", "--model", model_path, "--obs", obs_path, "--predict", str(bad)],
-        "marma": ["marma", "--spec", str(bad)],
+        "marma": ["marma", "--spec", str(bad), "--mode", "quality"],
+        "smith": ["smith", "--spec", str(bad), "--obs", obs_path, "--num", "5"],
+        "obs": ["inspect", "--model", model_path, "--obs", str(bad)],
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    # with no key at fault, the line says what the file must be
+    assert repr(key) in err if key else " must " in err
 
 
 def test_rel_tol_of_one_exits_nonzero(model_files, capsys):

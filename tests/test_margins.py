@@ -181,6 +181,9 @@ def test_tabulated_keeps_read_only_copies():
     density *= 2.0
     assert (m.quantile(0.5), m.cdf(1.0), hash(m)) == before
     assert m == _triangle_margin()
+    # -0.0 and +0.0 are one grid value: equal margins, one hash, one set entry
+    signed = [TabulatedContinuous([zero, 2.0], [0.5, 0.5]) for zero in (-0.0, 0.0)]
+    assert signed[0] == signed[1] and len(set(signed)) == 1
     assert grid.flags.writeable
     for table in (m.grid, m.density):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 
 from maxlinear import (
     AssumptionAViolationError,
+    DimensionOverflowError,
     SmithSpec,
     load_smith_spec,
     save_smith_spec,
@@ -104,6 +105,13 @@ def test_flooring_too_aggressive_raises():
 def test_design_requires_sites():
     with pytest.raises(ValueError):
         smith_design(SmithSpec(q=5))
+
+
+def test_design_overflow_guard():
+    # 2 * (2q)^2 = 8e12 entries: refused before any array is allocated
+    spec = SmithSpec(q=1_000_000, sites=((0.0, 0.0),), grid=((1.0, 1.0),))
+    with pytest.raises(DimensionOverflowError):
+        smith_design(spec)
 
 
 def test_spec_file_roundtrip(tmp_path):
