@@ -49,8 +49,17 @@ def _converted(name: str, convert, value, **kwargs):
     """``convert(value, **kwargs)``, or a ValueError naming ``name``."""
     try:
         return convert(value, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid {name!r}: {exc}") from None
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing a number that it would truncate: 25.0 is 25,
+    2.5 is a ValueError."""
+    out = int(value)
+    if not isinstance(value, str) and out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
 
 
 def _convert_fields(obj, **converters) -> None:

@@ -62,6 +62,11 @@ class MarginSpec:
         """Quantile at ``exp(log_u)``: the inverse of ``log_cdf``."""
         return self.quantile(np.exp(log_u))
 
+    def _hazard_quantile(self, h) -> None:
+        """Overwrite the array ``h`` with the quantile at ``exp(-h)``: the
+        truncated draw's last step, in place on a block of its buffer."""
+        h[...] = self.log_quantile(0.0 - h)
+
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -117,13 +122,22 @@ class Frechet(MarginSpec):
             return self.log_quantile(np.log(np.clip(u, 0.0, 1.0)))
 
     def log_quantile(self, log_u):
-        # one allocation, then in place: this is the truncated-draw kernel.
         # 0 - l rather than -l, so that l = 0 gives +0 and Q = +inf
-        out = 0.0 - np.asarray(log_u, dtype=float)
+        out = np.array(log_u, dtype=float)
+        np.subtract(0.0, out, out=out)
+        self._hazard_quantile(out)
+        return out if out.ndim else float(out)
+
+    def _hazard_quantile(self, h) -> None:
+        # the truncated-draw kernel: scale * h ** (-1/alpha), in place. At
+        # alpha = 1 the reciprocal gives the power's bits in half its time
         with np.errstate(divide="ignore"):
-            out **= -1.0 / self.alpha
-        out *= self.scale
-        return out if np.ndim(out) else float(out)
+            if self.alpha == 1.0:
+                np.reciprocal(h, out=h)
+            else:
+                np.power(h, -1.0 / self.alpha, out=h)
+        if self.scale != 1.0:
+            h *= self.scale
 
     def to_dict(self) -> dict:
         return {"kind": "frechet", "alpha": self.alpha, "scale": self.scale}
@@ -259,6 +273,22 @@ def _columnwise(groups, method: str, values) -> np.ndarray:
         cols = np.flatnonzero(label == k)
         out[cols] = getattr(margin, method)(vt[cols])
     return out.T
+
+
+def _hazard_quantiles(groups, h: np.ndarray) -> None:
+    """Overwrite each row j of ``h`` with the quantile at ``exp(-h[j])``
+    of ``kinds[label[j]]``, one in-place call per kind present, with
+    ``(kinds, label) = groups``."""
+    kinds, label = groups
+    if len(kinds) == 1:
+        kinds[0]._hazard_quantile(h)
+        return
+    for k, margin in enumerate(kinds):
+        rows = np.flatnonzero(label == k)
+        if rows.size:
+            part = h[rows]
+            margin._hazard_quantile(part)
+            h[rows] = part
 
 
 def margin_from_dict(doc: dict) -> MarginSpec:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    NonStationaryError, NotPureMarError, _check_design_size, _convert_fields, _from_json
+    NonStationaryError, NotPureMarError, _check_design_size, _convert_fields, _from_json, _integer
 )
 
 
@@ -40,7 +40,9 @@ class MarmaSpec:
     N_horizon: int = 50
 
     def __post_init__(self):
-        _convert_fields(self, phi=_floats, theta=_floats, p=int, n_observed=int, N_horizon=int)
+        _convert_fields(
+            self, phi=_floats, theta=_floats, p=_integer, n_observed=_integer, N_horizon=_integer
+        )
         if any(v < 0 for v in self.phi) or any(v < 0 for v in self.theta):
             raise ValueError("phi and theta must be nonnegative")
         if self.phi and max(self.phi) >= 1.0:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DensityNormalizationError,
     DimensionMismatchError,
     MarginCountMismatchError,
     NegativeEntryError,
@@ -193,5 +194,9 @@ def save_model(model: MaxLinearModel, path) -> None:
 def load_model(path) -> MaxLinearModel:
     doc = json.loads(Path(path).read_text())
     margins = _converted("margins", list, _json_field(doc, "margins", "a model"))
-    margins = [margin_from_dict(m) for m in margins]
+    for index, entry in enumerate(margins):
+        try:
+            margins[index] = margin_from_dict(entry)
+        except (ValueError, DensityNormalizationError) as exc:
+            raise type(exc)(f"margin {index}: {exc}") from None
     return _from_json(validate_model, {**doc, "margins": margins}, "a model")

@@ -10,6 +10,7 @@ the observations exactly.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,9 +22,10 @@ from .errors import (
     MarginCountMismatchError,
     NegativeEntryError,
     ZeroMassBelowBoundError,
+    _converted,
 )
 from .hitting import DEFAULT_REL_TOL
-from .margins import MarginSpec, _columnwise, margin_groups
+from .margins import MarginSpec, _columnwise, _hazard_quantiles, margin_groups
 from .model import BLOCK_ELEMENTS, check_coefficients, max_linear_apply_batch, validate_model
 
 
@@ -57,6 +59,45 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _uniform_blocks(gen: np.random.Generator, blocks: list[np.ndarray]):
+    """Yield each of ``blocks``, consecutive views of one C-ordered
+    buffer, once it holds its uniforms. ``gen.random(out=block)`` in block
+    order draws the stream one ``gen.random(buffer.shape)`` would. With
+    more than one block, a helper thread does these fills, and only
+    these, while the caller works on the blocks before; closing the
+    generator stops and joins it, and an error in it is raised here."""
+    if len(blocks) == 1:
+        gen.random(out=blocks[0])
+        yield blocks[0]
+        return
+    ready = threading.Semaphore(0)
+    stop = threading.Event()
+    failure = []
+
+    def fill():
+        try:
+            for block in blocks:
+                if stop.is_set():
+                    return
+                gen.random(out=block)
+                ready.release()
+        except BaseException as exc:  # re-raised by the caller
+            failure.append(exc)
+            ready.release()
+
+    thread = threading.Thread(target=fill, name="maxlinear-uniforms")
+    thread.start()
+    try:
+        for block in blocks:
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            yield block
+    finally:
+        stop.set()
+        thread.join()
+
+
 def _truncated_matrix(
     margins: Sequence[MarginSpec],
     bounds: np.ndarray,
@@ -66,16 +107,19 @@ def _truncated_matrix(
     """(num, len(bounds)) draws; column j follows margins[j] conditioned
     on lying strictly inside (0, bounds[j]).
 
-    Drawn in log space, as the log-quantile of log U + log F_j(bounds[j]),
-    so a bound far in the lower tail, where F_j itself underflows, still
-    has its exact truncated law. One (len(bounds), num) buffer holds U,
-    then log U + log F and, block by block, the values clamped into
-    [nextafter(0, 1), nextafter(b, 0)]; the result is its transpose, a
-    column-major (num, len(bounds)) matrix. The exact value lies in
-    [0, b]: only rounding puts it on b, and nextafter(b, 0) is the exact
-    value rounded toward zero; only U = 0 or underflow puts it on 0. At
-    unit Frechet and b = 1e-20 the whole law lies within 1e-20 of b
-    (relative), far inside one ulp, so every value is nextafter(b, 0).
+    Drawn in hazard form, as the quantile at exp(-(h_j - log U)) with
+    h_j = -log F_j(bounds[j]), so a bound far in the lower tail, where
+    F_j itself underflows, still has its exact truncated law. One
+    (len(bounds), num) buffer is filled with U block by block of
+    BLOCK_ELEMENTS, in stream order (see _uniform_blocks), and each block
+    is mapped in place while it is in cache: log U, h - log U, the
+    quantile, and the clamp into [nextafter(0, 1), nextafter(b, 0)]. The
+    result is the buffer's transpose, a column-major (num, len(bounds))
+    matrix. The exact value lies in [0, b]: only rounding puts it on b,
+    and nextafter(b, 0) is the exact value rounded toward zero; only
+    U = 0 or underflow puts it on 0. At unit Frechet and b = 1e-20 the
+    whole law lies within 1e-20 of b (relative), far inside one ulp, so
+    every value is nextafter(b, 0).
 
     Raises
     ------
@@ -90,23 +134,30 @@ def _truncated_matrix(
             f"no mass below bound {bounds[empty[0]]} of column {empty[0]}: "
             "its log-CDF is -inf"
         )
+    hazard = -log_f[:, None]
     below = np.nextafter(bounds, 0.0)[:, None]
     tiny = np.nextafter(0.0, 1.0)
-    buf = gen.random((bounds.size, num))
-    # U = 0 gives log U = -inf and the value 0, which is clamped
-    with np.errstate(divide="ignore"):
-        np.log(buf, out=buf)
-    buf += log_f[:, None]
+    buf = np.empty((bounds.size, num))
     step = max(1, BLOCK_ELEMENTS // max(num, 1))
-    for start in range(0, bounds.size, step):
-        stop = start + step
-        block = buf[start:stop]
-        block[...] = _columnwise((kinds, label[start:stop]), "log_quantile", block.T).T
-        np.minimum(block, below[start:stop], out=block)
-        np.maximum(block, tiny, out=block)
-        if np.isnan(block.max()):  # the clamps pass NaN through
-            j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
-            raise ZeroMassBelowBoundError(f"log-quantile of column {j} is NaN below {bounds[j]}")
+    starts = range(0, bounds.size, step)
+    blocks = _uniform_blocks(gen, [buf[start:start + step] for start in starts])
+    try:
+        for start, block in zip(starts, blocks):
+            rows = slice(start, start + step)
+            # U = 0 gives log U = -inf and the value 0, which is clamped
+            with np.errstate(divide="ignore"):
+                np.log(block, out=block)
+            np.subtract(hazard[rows], block, out=block)
+            _hazard_quantiles((kinds, label[rows]), block)
+            np.minimum(block, below[rows], out=block)
+            np.maximum(block, tiny, out=block)
+            if np.isnan(block.max()):  # the clamps pass NaN through
+                j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
+                raise ZeroMassBelowBoundError(
+                    f"log-quantile of column {j} is NaN below {bounds[j]}"
+                )
+    finally:
+        blocks.close()
     return buf.T
 
 
@@ -188,7 +239,7 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     """
     _check_integer("num_samples", task.num_samples, 1)
     _check_integer("seed", task.seed, 0)
-    A = np.asarray(task.A, dtype=float)
+    A = _converted("A", np.asarray, task.A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError(f"A must be 2-d, got shape {A.shape}")
     B = check_coefficients(task.B, "B")

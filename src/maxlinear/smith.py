@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AssumptionAViolationError, _check_design_size, _convert_fields, _from_json
+from .errors import (
+    AssumptionAViolationError, _check_design_size, _convert_fields, _from_json, _integer
+)
 
 DEFAULT_FLOOR_RATIO = 1e-12
 
@@ -62,7 +64,7 @@ class SmithSpec:
 
     def __post_init__(self):
         _convert_fields(
-            self, rho=float, beta1=float, beta2=float, M=float, q=int, alpha=float,
+            self, rho=float, beta1=float, beta2=float, M=float, q=_integer, alpha=float,
             sites=_points, grid=_points,
         )
         if not -1.0 < self.rho < 1.0:

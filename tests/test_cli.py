@@ -137,6 +137,9 @@ ONES = [[1.0, 1.0, 1.0]] * 3
     ("smith", {"sites": [[0.0, 0.0]] * 3, "qq": 4}, "qq"),
     ("marma", {"phi": [0.5], "N_horizont": 4}, "N_horizont"),
     ("model", {"A": ONES, "margins": [FRECHET] * 3, "note": "x"}, "note"),
+    ("smith", {"sites": [[0.0, 0.0]] * 3, "q": 2.5}, "q"),
+    ("marma", {"phi": [0.5], "p": 10.9}, "p"),
+    ("model", {"A": ONES, "margins": [FRECHET, {**FRECHET, "alpha": [1]}, FRECHET]}, "alpha"),
     pytest.param("obs", "1,1,3\n1,1,3\n", None, id="obs-two-rows-None"),
 ])
 def test_malformed_input_files_exit_nonzero(model_files, tmp_path, capsys, command, doc, key):

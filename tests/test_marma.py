@@ -27,6 +27,10 @@ def test_spec_validation():
         MarmaSpec(phi=(-0.2,))
     with pytest.raises(ValueError):
         MarmaSpec(phi=(0.5,), theta=(0.3, 0.2), p=2)
+    assert MarmaSpec(phi=(0.5,), p=10.0).p == 10
+    for key in ("p", "n_observed", "N_horizon"):
+        with pytest.raises(ValueError, match=f"invalid '{key}'"):
+            MarmaSpec(phi=(0.5,), **{key: 10.9})
 
 
 def test_mar3_coefficient_prefix():

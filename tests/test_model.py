@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maxlinear import (
+    DensityNormalizationError,
     DimensionMismatchError,
     MarginCountMismatchError,
     NegativeEntryError,
@@ -145,3 +148,16 @@ def test_model_file_roundtrip(tmp_path):
     copy = load_model(path)
     assert np.array_equal(copy.A, model.A)
     assert copy.margins == model.margins
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ({"kind": "frechet", "alpha": [1]}, ValueError, "^margin 1: invalid 'alpha'"),
+    ({"kind": "tabulated", "grid": [0, 1], "density": [1, 2]}, DensityNormalizationError,
+     "^margin 1: tabulated density integrates to"),
+])
+def test_load_model_names_the_bad_margin(tmp_path, bad, error, message):
+    good = {"kind": "frechet", "alpha": 1.0}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": TRIL3.tolist(), "margins": [good, bad, good]}))
+    with pytest.raises(error, match=message):
+        load_model(path)

@@ -62,6 +62,11 @@ def test_spec_validation():
         SmithSpec(M=-1.0)
     with pytest.raises(ValueError):
         SmithSpec(q=0)
+    # an integral float is its integer; a fraction or inf is not truncated
+    assert SmithSpec(q=25.0).q == 25 and isinstance(SmithSpec(q=25.0).q, int)
+    for q in (2.5, float("inf")):
+        with pytest.raises(ValueError, match="invalid 'q'"):
+            SmithSpec(q=q)
 
 
 def test_design_shape_and_positivity():
