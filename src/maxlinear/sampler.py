@@ -139,11 +139,10 @@ def _truncated_matrix(
     tiny = np.nextafter(0.0, 1.0)
     buf = np.empty((bounds.size, num))
     step = max(1, BLOCK_ELEMENTS // max(num, 1))
-    starts = range(0, bounds.size, step)
-    blocks = _uniform_blocks(gen, [buf[start:start + step] for start in starts])
+    spans = [slice(start, start + step) for start in range(0, bounds.size, step)]
+    blocks = _uniform_blocks(gen, [buf[rows] for rows in spans])
     try:
-        for start, block in zip(starts, blocks):
-            rows = slice(start, start + step)
+        for rows, block in zip(spans, blocks):
             # U = 0 gives log U = -inf and the value 0, which is clamped
             with np.errstate(divide="ignore"):
                 np.log(block, out=block)
@@ -152,7 +151,7 @@ def _truncated_matrix(
             np.minimum(block, below[rows], out=block)
             np.maximum(block, tiny, out=block)
             if np.isnan(block.max()):  # the clamps pass NaN through
-                j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
+                j = rows.start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
                 raise ZeroMassBelowBoundError(
                     f"log-quantile of column {j} is NaN below {bounds[j]}"
                 )
