@@ -62,10 +62,10 @@ class MarginSpec:
         """Quantile at ``exp(log_u)``: the inverse of ``log_cdf``."""
         return self.quantile(np.exp(log_u))
 
-    def _hazard_quantile(self, h) -> None:
-        """Overwrite the array ``h`` with the quantile at ``exp(-h)``: the
-        truncated draw's last step, in place on a block of its buffer."""
-        h[...] = self.log_quantile(0.0 - h)
+    def _hazard_quantile(self, h):
+        """Quantile at ``exp(-h)``: the truncated draw's last step. May
+        overwrite the array ``h`` and return it."""
+        return self.log_quantile(0.0 - h)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -125,10 +125,10 @@ class Frechet(MarginSpec):
         # 0 - l rather than -l, so that l = 0 gives +0 and Q = +inf
         out = np.array(log_u, dtype=float)
         np.subtract(0.0, out, out=out)
-        self._hazard_quantile(out)
+        out = self._hazard_quantile(out)
         return out if out.ndim else float(out)
 
-    def _hazard_quantile(self, h) -> None:
+    def _hazard_quantile(self, h):
         # the truncated-draw kernel: scale * h ** (-1/alpha), in place. At
         # alpha = 1 the reciprocal gives the power's bits in half its time
         with np.errstate(divide="ignore"):
@@ -138,6 +138,7 @@ class Frechet(MarginSpec):
                 np.power(h, -1.0 / self.alpha, out=h)
         if self.scale != 1.0:
             h *= self.scale
+        return h
 
     def to_dict(self) -> dict:
         return {"kind": "frechet", "alpha": self.alpha, "scale": self.scale}
@@ -261,7 +262,8 @@ def margin_groups(margins: Sequence[MarginSpec]) -> tuple[tuple, np.ndarray]:
 
 def _columnwise(groups, method: str, values) -> np.ndarray:
     """``kinds[label[j]].<method>`` applied to ``values[..., j]`` for every j,
-    one vectorized call per kind, with ``(kinds, label) = groups``."""
+    one vectorized call per kind, with ``(kinds, label) = groups``. A method
+    that works in place, like ``_hazard_quantile``, may overwrite ``values``."""
     # on values.T, whose first axis indexes the columns: for a column-major
     # sample matrix every kind gathers and scatters whole contiguous columns
     kinds, label = groups
@@ -273,22 +275,6 @@ def _columnwise(groups, method: str, values) -> np.ndarray:
         cols = np.flatnonzero(label == k)
         out[cols] = getattr(margin, method)(vt[cols])
     return out.T
-
-
-def _hazard_quantiles(groups, h: np.ndarray) -> None:
-    """Overwrite each row j of ``h`` with the quantile at ``exp(-h[j])``
-    of ``kinds[label[j]]``, one in-place call per kind present, with
-    ``(kinds, label) = groups``."""
-    kinds, label = groups
-    if len(kinds) == 1:
-        kinds[0]._hazard_quantile(h)
-        return
-    for k, margin in enumerate(kinds):
-        rows = np.flatnonzero(label == k)
-        if rows.size:
-            part = h[rows]
-            margin._hazard_quantile(part)
-            h[rows] = part
 
 
 def margin_from_dict(doc: dict) -> MarginSpec:

@@ -10,7 +10,6 @@ the observations exactly.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     _converted,
 )
 from .hitting import DEFAULT_REL_TOL
-from .margins import MarginSpec, _columnwise, _hazard_quantiles, margin_groups
+from .margins import MarginSpec, _columnwise, margin_groups
 from .model import BLOCK_ELEMENTS, check_coefficients, max_linear_apply_batch, validate_model
 
 
@@ -59,45 +58,6 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def _uniform_blocks(gen: np.random.Generator, blocks: list[np.ndarray]):
-    """Yield each of ``blocks``, consecutive views of one C-ordered
-    buffer, once it holds its uniforms. ``gen.random(out=block)`` in block
-    order draws the stream one ``gen.random(buffer.shape)`` would. With
-    more than one block, a helper thread does these fills, and only
-    these, while the caller works on the blocks before; closing the
-    generator stops and joins it, and an error in it is raised here."""
-    if len(blocks) == 1:
-        gen.random(out=blocks[0])
-        yield blocks[0]
-        return
-    ready = threading.Semaphore(0)
-    stop = threading.Event()
-    failure = []
-
-    def fill():
-        try:
-            for block in blocks:
-                if stop.is_set():
-                    return
-                gen.random(out=block)
-                ready.release()
-        except BaseException as exc:  # re-raised by the caller
-            failure.append(exc)
-            ready.release()
-
-    thread = threading.Thread(target=fill, name="maxlinear-uniforms")
-    thread.start()
-    try:
-        for block in blocks:
-            ready.acquire()
-            if failure:
-                raise failure[0]
-            yield block
-    finally:
-        stop.set()
-        thread.join()
-
-
 def _truncated_matrix(
     margins: Sequence[MarginSpec],
     bounds: np.ndarray,
@@ -111,9 +71,11 @@ def _truncated_matrix(
     h_j = -log F_j(bounds[j]), so a bound far in the lower tail, where
     F_j itself underflows, still has its exact truncated law. One
     (len(bounds), num) buffer is filled with U block by block of
-    BLOCK_ELEMENTS, in stream order (see _uniform_blocks), and each block
-    is mapped in place while it is in cache: log U, h - log U, the
-    quantile, and the clamp into [nextafter(0, 1), nextafter(b, 0)]. The
+    BLOCK_ELEMENTS with ``gen.random(out=block)``, in block order, which
+    draws the stream one ``gen.random(buf.shape)`` would; each block is
+    mapped in place while it is in cache: log U, h - log U, the quantile,
+    and the clamp into [nextafter(0, 1), nextafter(b, 0)]. A draw that
+    raises has used the stream up to the end of the block that failed. The
     result is the buffer's transpose, a column-major (num, len(bounds))
     matrix. The exact value lies in [0, b]: only rounding puts it on b,
     and nextafter(b, 0) is the exact value rounded toward zero; only
@@ -139,24 +101,21 @@ def _truncated_matrix(
     tiny = np.nextafter(0.0, 1.0)
     buf = np.empty((bounds.size, num))
     step = max(1, BLOCK_ELEMENTS // max(num, 1))
-    spans = [slice(start, start + step) for start in range(0, bounds.size, step)]
-    blocks = _uniform_blocks(gen, [buf[rows] for rows in spans])
-    try:
-        for rows, block in zip(spans, blocks):
-            # U = 0 gives log U = -inf and the value 0, which is clamped
-            with np.errstate(divide="ignore"):
-                np.log(block, out=block)
-            np.subtract(hazard[rows], block, out=block)
-            _hazard_quantiles((kinds, label[rows]), block)
-            np.minimum(block, below[rows], out=block)
-            np.maximum(block, tiny, out=block)
-            if np.isnan(block.max()):  # the clamps pass NaN through
-                j = rows.start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
-                raise ZeroMassBelowBoundError(
-                    f"log-quantile of column {j} is NaN below {bounds[j]}"
-                )
-    finally:
-        blocks.close()
+    for start in range(0, bounds.size, step):
+        rows = slice(start, start + step)
+        block = buf[rows]
+        gen.random(out=block)
+        # U = 0 gives log U = -inf and the value 0, which is clamped
+        with np.errstate(divide="ignore"):
+            np.log(block, out=block)
+        np.subtract(hazard[rows], block, out=block)
+        # the quantile may be block itself; the first clamp writes it there
+        quantile = _columnwise((kinds, label[rows]), "_hazard_quantile", block.T).T
+        np.minimum(quantile, below[rows], out=block)
+        np.maximum(block, tiny, out=block)
+        if np.isnan(block.max()):  # the clamps pass NaN through
+            j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
+            raise ZeroMassBelowBoundError(f"log-quantile of column {j} is NaN below {bounds[j]}")
     return buf.T
 
 

@@ -1,6 +1,4 @@
 import dataclasses
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -146,26 +144,15 @@ def test_truncated_matrix_clamps_to_the_bound():
         _truncated_matrix(broken, bounds, RngStream(4).generator(), 50)
 
 
-class _FillError(Exception):
-    pass
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its ``random`` calls."""
 
-
-class _PausingGenerator(np.random.Generator):
-    """A generator that pauses before each ``random`` call but the first,
-    so that the caller has mapped the block before and waits, and raises
-    on call ``fail_on``."""
-
-    def __init__(self, seed, fail_on=None):
+    def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
         self.calls = 0
-        self.fail_on = fail_on
 
     def random(self, *args, **kwargs):
         self.calls += 1
-        if self.calls > 1:
-            time.sleep(0.2)
-        if self.calls == self.fail_on:
-            raise _FillError(f"fill {self.calls}")
         return super().random(*args, **kwargs)
 
 
@@ -173,48 +160,22 @@ class _PausingGenerator(np.random.Generator):
 PIPELINE_BOUNDS = np.full(120, 2.0)
 
 
-def _draw_within_a_minute(margins, gen):
-    """_truncated_matrix(margins, PIPELINE_BOUNDS, gen, 700) on a worker
-    thread: a hung draw fails the test instead of stalling the suite.
-    Checks that the draw leaves no thread running, raises what it raised."""
-    before = threading.active_count()
-    outcome = []
-
-    def draw():
-        try:
-            outcome.append(_truncated_matrix(margins, PIPELINE_BOUNDS, gen, 700))
-        except Exception as exc:
-            outcome.append(exc)
-
-    # a daemon, so that a hung draw cannot keep the test process alive
-    worker = threading.Thread(target=draw, daemon=True)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive(), "the draw hung"
-    assert threading.active_count() == before
-    if isinstance(outcome[0], Exception):
-        raise outcome[0]
-    return outcome[0]
-
-
-def test_failed_fill_is_raised_by_the_caller():
-    with pytest.raises(_FillError, match="fill 2"):
-        _draw_within_a_minute((standard_frechet(1.0),) * 120, _PausingGenerator(0, fail_on=2))
-
-
 def test_nan_in_the_first_of_three_blocks_stops_the_fills():
-    # the caller raises while the second block is being filled, and the
-    # third is never filled
+    # the draw raises at the first block, so it has used the stream only
+    # up to that block's end, the same on every run
     margins = (standard_frechet(1.0), _FixedQuantile(np.nan)) + (standard_frechet(1.0),) * 118
-    gen = _PausingGenerator(4)
+    gen, ref = _CountingGenerator(4), np.random.Generator(np.random.PCG64(4))
     with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
-        _draw_within_a_minute(margins, gen)
-    assert gen.calls == 2
+        _truncated_matrix(margins, PIPELINE_BOUNDS, gen, 700)
+    assert gen.calls == 1
+    ref.random((46, 700))
+    assert gen.random() == ref.random()
 
 
 def test_block_fills_leave_the_stream_where_one_call_does():
-    gen, ref = RngStream(7).generator(), RngStream(7).generator()
-    _draw_within_a_minute((standard_frechet(1.0),) * 120, gen)
+    gen, ref = _CountingGenerator(7), np.random.Generator(np.random.PCG64(7))
+    _truncated_matrix((standard_frechet(1.0),) * 120, PIPELINE_BOUNDS, gen, 700)
+    assert gen.calls == 3
     ref.random((120, 700))
     assert gen.random() == ref.random()
 
