@@ -6,6 +6,7 @@ Every rejected input maps to exactly one error class; callers can catch
 
 import functools
 import inspect
+import numbers
 
 # the most entries a design builder (MARMA or Smith) allocates
 MAX_DESIGN_ENTRIES = 200_000_000
@@ -53,13 +54,20 @@ def _converted(name: str, convert, value, **kwargs):
         raise ValueError(f"invalid {name!r}: {exc}") from None
 
 
-def _integer(value) -> int:
-    """``int(value)``, refusing a number that it would truncate: 25.0 is 25,
-    2.5 is a ValueError."""
-    out = int(value)
-    if not isinstance(value, str) and out != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return out
+def _real(value) -> bool:
+    """Whether ``value`` is a real number: a bool or a string is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an int >= ``low``: an int, a NumPy integer or an integral
+    float (25.0 is 25). A bool, a string, None, 2.5, inf, nan or a value below
+    ``low`` is a ValueError naming ``name``. An int skips ``float()``, which
+    would overflow on a very large one."""
+    integral = _real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+    if not integral or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _convert_fields(obj, **converters) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _integer
 from .hitting import hitting_structure
 from .margins import standard_frechet
 from .marma import (
@@ -34,7 +35,8 @@ from .smith import SmithSpec, smith_design
 
 def derived_seed(seed: int, index: int) -> int:
     """Stable 64-bit seed for repetition ``index`` of a seeded experiment."""
-    return int(np.random.SeedSequence(entropy=(int(seed), int(index))).generate_state(1)[0])
+    entropy = (_integer("seed", seed, 0), _integer("index", index, 0))
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 # --- summaries ------------------------------------------------------------
@@ -66,6 +68,8 @@ def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> Summar
     levels = tuple(sorted(float(v) for v in levels))
     if any(not 0.0 < v < 1.0 for v in levels):
         raise ValueError(f"quantile levels must lie in (0, 1): {levels}")
+    if samples.shape[0] == 0:
+        raise ValueError("summarize needs at least one sample, got 0 rows")
     srt = np.sort(samples, axis=0)
     quantiles = {lvl: order_statistic_quantile(srt, lvl) for lvl in levels}
     exceed = None
@@ -131,8 +135,7 @@ def _marma_predictions(spec: MarmaSpec, reps: int, num_samples: int, seed: int):
     """Per repetition r: simulate a window from stream (seed, r), condition
     on its observed part and draw the horizon with sample seed
     ``derived_seed(seed, r)``. Yields (x_obs, y_true, Y)."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = _integer("reps", reps, 1)
     psi = marma_coefficients(spec.phi, spec.theta, spec.p)
     A, B = marma_design(psi, spec.n_observed, spec.N_horizon)
     margins = (standard_frechet(1.0),) * A.shape[1]
@@ -238,13 +241,11 @@ def bench_decomposition(
     Each cell keeps its own generator, so its inputs do not depend on the
     other cells.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    draws, seed = _integer("draws", draws, 1), _integer("seed", seed, 0)
     cells = []
-    for n in n_list:
-        for p in p_list:
-            gen = np.random.default_rng(np.random.SeedSequence((seed, n, p)))
-            cells.append((int(n), int(p), gen, _bench_design(n, p, gen)))
+    for n, p in [(_integer("n", n, 1), _integer("p", p, 1)) for n in n_list for p in p_list]:
+        gen = np.random.default_rng((seed, n, p))
+        cells.append((n, p, gen, _bench_design(n, p, gen)))
     times = np.empty((len(cells), draws))
     for d in range(-2, draws):  # two untimed warmup rounds
         for c, (_, p, gen, model) in enumerate(cells):
@@ -264,7 +265,7 @@ def bench_decomposition(
             "mean_seconds": float(t.mean()),
             "std_seconds": float(t.std(ddof=1)) if draws > 1 else 0.0,
             "median_seconds": float(np.median(t)),
-            "draws": int(draws),
+            "draws": draws,
         }
         for (n, p, _, _), t in zip(cells, times)
     ]

@@ -19,6 +19,7 @@ from .errors import (
     EmptyScenarioClassError,
     InconsistentObservationError,
     NumericalOverflowError,
+    _real,
 )
 from .model import MaxLinearModel, validate_observations
 
@@ -104,7 +105,7 @@ def _hitting_matrix(
     A: np.ndarray, x: np.ndarray, z_hat: np.ndarray, rel_tol: float
 ) -> np.ndarray:
     # at rel_tol >= 1 every a_ij * zhat_j <= x_i would count as a hit
-    if not 0.0 <= rel_tol < 1.0:
+    if not (_real(rel_tol) and 0.0 <= rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
     H = (A > 0) & (np.abs(A * z_hat - x[:, None]) <= rel_tol * x[:, None])
     bad = np.flatnonzero(~H.any(axis=1))

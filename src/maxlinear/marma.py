@@ -41,7 +41,9 @@ class MarmaSpec:
 
     def __post_init__(self):
         _convert_fields(
-            self, phi=_floats, theta=_floats, p=_integer, n_observed=_integer, N_horizon=_integer
+            self, phi=_floats, theta=_floats, p=lambda v: _integer("p", v, 0),
+            n_observed=lambda v: _integer("n_observed", v, 1),
+            N_horizon=lambda v: _integer("N_horizon", v, 1),
         )
         if any(v < 0 for v in self.phi) or any(v < 0 for v in self.theta):
             raise ValueError("phi and theta must be nonnegative")
@@ -51,8 +53,6 @@ class MarmaSpec:
             )
         if self.p < len(self.phi) + len(self.theta):
             raise ValueError("truncation p must be at least m + q")
-        if self.n_observed < 1 or self.N_horizon < 1:
-            raise ValueError("n_observed and N_horizon must be positive")
 
     @property
     def phi_star(self) -> float:

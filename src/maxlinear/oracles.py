@@ -29,6 +29,8 @@ from .errors import (
     InconsistentObservationError,
     MaxLinearError,
     TooLargeForBruteForceError,
+    _integer,
+    _real,
 )
 from .experiments import derived_seed
 from .hitting import (
@@ -204,12 +206,17 @@ def rejection_oracle(
 
     Raises
     ------
+    ValueError
+        if ``epsilon`` is not a real number in (0, 0.1], or a count is
+        not an integer >= 1.
     AcceptanceTooRareError
         if ``max_proposals`` proposals are exhausted first; the error
         carries the observed acceptance rate.
     """
-    if not (0.0 < epsilon <= 0.1):
-        raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon}")
+    if not (_real(epsilon) and 0.0 < epsilon <= 0.1):
+        raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon!r}")
+    num_accepted = _integer("num_accepted", num_accepted, 1)
+    max_proposals = _integer("max_proposals", max_proposals, 1)
     x = validate_observations(x, model.n)
     gen = _as_generator(rng)
     box = (1.0 + epsilon) * compute_upper_bounds(model, x)
@@ -225,7 +232,7 @@ def rejection_oracle(
                 f"{proposed} proposals (rate {rate:.3g})",
                 acceptance_rate=rate,
             )
-        m = int(min(REJECTION_BATCH, max_proposals - proposed))
+        m = min(REJECTION_BATCH, max_proposals - proposed)
         U = gen.random((m, model.p))
         Z = np.column_stack(
             [mj.quantile(U[:, j] * box_mass[j]) for j, mj in enumerate(model.margins)]
@@ -387,8 +394,7 @@ def validate_suite(seed: int = 0, trials: int = 100, epsilon: float = 0.01) -> d
     500 acceptances, and checks that an inconsistent observation is
     rejected.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _integer("trials", trials, 1)
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str = "") -> None:
@@ -399,15 +405,13 @@ def validate_suite(seed: int = 0, trials: int = 100, epsilon: float = 0.01) -> d
         record(f"worked example x=({label})", ok)
     record("worked example draw patterns", worked["draw_patterns"])
 
-    product = check_product_form(np.random.default_rng(np.random.SeedSequence((seed, 2))), trials)
+    product = check_product_form(RngStream(seed, 2).generator(), trials)
     record("scenario sets: brute force == product form", product["mismatches"] == 0,
            f"{product['mismatches']} mismatches / {trials} trials")
     record("factorization identity", product["worst_gap"] <= 1e-10,
            f"worst relative gap {product['worst_gap']:.3g}")
 
-    exact = check_exact_draws(
-        np.random.default_rng(np.random.SeedSequence((seed, 3))), seed, trials
-    )
+    exact = check_exact_draws(RngStream(seed, 3).generator(), seed, trials)
     record("residuation", exact["residuation_failures"] == 0,
            f"{exact['residuation_failures']} failures / {trials} trials")
     record("draw exactness", exact["draw_failures"] == 0,

@@ -22,6 +22,7 @@ from .errors import (
     NegativeEntryError,
     ZeroMassBelowBoundError,
     _converted,
+    _integer,
 )
 from .hitting import DEFAULT_REL_TOL
 from .margins import MarginSpec, _columnwise, margin_groups
@@ -33,21 +34,19 @@ class RngStream:
     """Reproducible, splittable random stream.
 
     Identical (seed, stream_id) pairs yield identical draw sequences;
-    distinct stream_ids yield statistically independent streams.
+    distinct stream_ids yield statistically independent streams. Both
+    are integers >= 0 (else ValueError).
     """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        object.__setattr__(self, "stream_id", _integer("stream_id", self.stream_id, 0))
+
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=(int(self.seed), int(self.stream_id)))
-        )
-
-
-def _check_integer(name: str, value, low: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        return np.random.default_rng((self.seed, self.stream_id))
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -136,7 +135,7 @@ def draw_conditional_batch(
     column-major (``Z.T`` is C-contiguous), one contiguous column per
     factor. ``num`` must be an integer >= 1 (else ValueError).
     """
-    _check_integer("num", num, 1)
+    num = _integer("num", num, 1)
     gen = _as_generator(rng)
     cols, starts = _joined(law.structure.J)
     last = np.append(starts[1:], cols.size) - 1
@@ -195,8 +194,8 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     The map skips the entries of ``B`` that cannot decide their row
     (see :func:`row_floors`); ``Y`` equals ``B (max-times) Z`` exactly.
     """
-    _check_integer("num_samples", task.num_samples, 1)
-    _check_integer("seed", task.seed, 0)
+    num = _integer("num_samples", task.num_samples, 1)
+    seed = _integer("seed", task.seed, 0)
     A = _converted("A", np.asarray, task.A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError(f"A must be 2-d, got shape {A.shape}")
@@ -222,8 +221,7 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     else:  # every column observed: no sub-block copies
         model, B_cond = validate_model(A, task.margins), B
     law = conditional_law(model, task.x, task.rel_tol)
-    num = int(task.num_samples)
-    Zc, _ = draw_conditional_batch(law, num, RngStream(task.seed, 0))
+    Zc, _ = draw_conditional_batch(law, num, RngStream(seed, 0))
     if free.size:
         # column-major like Zc, so each column is copied or drawn contiguously;
         # a free factor is its margin truncated below +inf, i.e. untruncated
@@ -232,7 +230,7 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
         Z.T[free] = _truncated_matrix(
             [task.margins[j] for j in free],
             np.full(free.size, np.inf),
-            RngStream(task.seed, 1).generator(),
+            RngStream(seed, 1).generator(),
             num,
         ).T
     else:

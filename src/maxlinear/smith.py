@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    AssumptionAViolationError, _check_design_size, _convert_fields, _from_json, _integer
+    AssumptionAViolationError, _check_design_size, _convert_fields, _from_json, _integer, _real
 )
 
 DEFAULT_FLOOR_RATIO = 1e-12
@@ -64,15 +64,13 @@ class SmithSpec:
 
     def __post_init__(self):
         _convert_fields(
-            self, rho=float, beta1=float, beta2=float, M=float, q=_integer, alpha=float,
-            sites=_points, grid=_points,
+            self, rho=float, beta1=float, beta2=float, M=float,
+            q=lambda v: _integer("q", v, 1), alpha=float, sites=_points, grid=_points,
         )
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
         if self.beta1 <= 0 or self.beta2 <= 0 or self.M <= 0 or self.alpha <= 0:
             raise ValueError("beta1, beta2, M and alpha must be positive")
-        if self.q < 1:
-            raise ValueError("q must be a positive integer")
 
     @property
     def h(self) -> float:
@@ -130,6 +128,8 @@ def smith_design(
     """
     if not spec.sites:
         raise ValueError("spec has no observed sites")
+    if not (_real(floor_ratio) and floor_ratio >= 0.0):
+        raise ValueError(f"floor_ratio must be a real number >= 0, got {floor_ratio!r}")
     _check_design_size(len(spec.sites) + len(spec.grid), spec.num_cells)
     A_full = design_rows(spec, spec.sites)
     B_full = (

@@ -140,6 +140,9 @@ ONES = [[1.0, 1.0, 1.0]] * 3
     ("smith", {"sites": [[0.0, 0.0]] * 3, "q": 2.5}, "q"),
     ("marma", {"phi": [0.5], "p": 10.9}, "p"),
     ("model", {"A": ONES, "margins": [FRECHET, {**FRECHET, "alpha": [1]}, FRECHET]}, "alpha"),
+    ("smith", {"sites": [[0.0, 0.0]] * 3, "q": True}, "q"),
+    ("smith", {"sites": [[0.0, 0.0]] * 3, "q": "25"}, "q"),
+    ("marma", {"phi": [0.5], "N_horizon": True}, "N_horizon"),
     pytest.param("obs", "1,1,3\n1,1,3\n", None, id="obs-two-rows-None"),
 ])
 def test_malformed_input_files_exit_nonzero(model_files, tmp_path, capsys, command, doc, key):
@@ -189,7 +192,7 @@ def test_marma_rejects_zero_reps(tmp_path, capsys, mode):
     spec_path = tmp_path / "spec.json"
     save_marma_spec(MarmaSpec(phi=(0.5,), p=50, n_observed=15, N_horizon=4), spec_path)
     assert main(["marma", "--spec", str(spec_path), "--mode", mode, "--reps", "0"]) == 1
-    assert "error: reps must be >= 1" in capsys.readouterr().err
+    assert "error: reps must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_marma_predict_command(tmp_path, capsys):
@@ -244,12 +247,12 @@ def test_validate_command(tmp_path, capsys):
 
 def test_validate_rejects_zero_trials(capsys):
     assert main(["validate", "--trials", "0"]) == 1
-    assert "error: trials must be >= 1" in capsys.readouterr().err
+    assert "error: trials must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_bench_rejects_zero_draws(capsys):
     assert main(["bench", "--n-list", "1", "--p-list", "64", "--draws", "0"]) == 1
-    assert "error: draws must be >= 1" in capsys.readouterr().err
+    assert "error: draws must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_bench_command(capsys):

@@ -1,18 +1,31 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from maxlinear import MarmaSpec, RngStream, summarize
+from maxlinear import (
+    MarmaSpec,
+    RngStream,
+    SmithSpec,
+    conditional_law,
+    draw_conditional_batch,
+    run_prediction,
+    standard_frechet,
+    summarize,
+    validate_model,
+)
 from maxlinear.experiments import (
     bench_decomposition,
     coverage_experiment,
+    derived_seed,
     order_statistic_quantile,
     projection_bias_experiment,
     summary_rows,
     write_sample_csv,
 )
-from maxlinear.oracles import check_rejection_oracle, validate_suite
+from maxlinear.oracles import check_rejection_oracle, rejection_oracle, validate_suite
+from maxlinear.sampler import PredictionTask
 
 
 def test_order_statistic_quantile_convention():
@@ -43,6 +56,9 @@ def test_summarize_handles_atoms():
 def test_summarize_rejects_bad_levels():
     with pytest.raises(ValueError):
         summarize(np.ones((10, 1)), levels=(0.0, 0.5))
+    # no rows gave "IndexError: index -1 is out of bounds"
+    with pytest.raises(ValueError, match="at least one sample"):
+        summarize(np.ones((0, 2)))
 
 
 def test_write_sample_csv(tmp_path):
@@ -111,3 +127,77 @@ def test_summary_rows_layout():
     rows = summary_rows(table)
     assert rows[0]["coordinate"] == 1
     assert "q0.5" in rows[0] and "exceedance_probability" in rows[0]
+
+
+
+# every integer a caller passes in: (name, least value, an accepted value,
+# a call passing its argument there and valid values elsewhere)
+_TASK = PredictionTask(
+    A=np.ones((1, 2)), B=np.ones((1, 2)), margins=(standard_frechet(1.0),) * 2,
+    x=np.array([1.0]), num_samples=2, seed=0,
+)
+_MARMA = MarmaSpec(phi=(0.5,), p=20, n_observed=5, N_horizon=2)
+
+
+def _draw(num):
+    law = conditional_law(validate_model(_TASK.A, _TASK.margins), _TASK.x)
+    return draw_conditional_batch(law, num, RngStream(0))
+
+
+def _oracle(num_accepted=2, max_proposals=1000):
+    # 50 unit-Frechet columns into one row: almost every proposal is accepted
+    wide = validate_model(np.ones((1, 50)), [standard_frechet(1.0)] * 50)
+    return rejection_oracle(wide, [1.0], 0.1, num_accepted, RngStream(0), max_proposals)
+
+
+def _bench(n=1, p=4, draws=1, seed=0):
+    return bench_decomposition(n_list=(n,), p_list=(p,), draws=draws, seed=seed)
+
+
+INTEGER_SITES = [
+    pytest.param("num_samples", 1, 3,
+                 lambda v: run_prediction(dataclasses.replace(_TASK, num_samples=v)),
+                 id="run_prediction.num_samples"),
+    pytest.param("seed", 0, 3, lambda v: run_prediction(dataclasses.replace(_TASK, seed=v)),
+                 id="run_prediction.seed"),
+    pytest.param("num", 1, 3, _draw, id="draw_conditional_batch.num"),
+    pytest.param("seed", 0, 3, RngStream, id="RngStream.seed"),
+    pytest.param("stream_id", 0, 3, lambda v: RngStream(0, v), id="RngStream.stream_id"),
+    pytest.param("seed", 0, 3, lambda v: derived_seed(v, 0), id="derived_seed.seed"),
+    pytest.param("index", 0, 3, lambda v: derived_seed(0, v), id="derived_seed.index"),
+    pytest.param("reps", 1, 3, lambda v: coverage_experiment(_MARMA, reps=v, num_samples=5),
+                 id="coverage_experiment.reps"),
+    pytest.param("reps", 1, 3,
+                 lambda v: projection_bias_experiment(_MARMA, reps=v, num_samples=5),
+                 id="projection_bias_experiment.reps"),
+    pytest.param("draws", 1, 3, lambda v: _bench(draws=v), id="bench_decomposition.draws"),
+    pytest.param("n", 1, 3, lambda v: _bench(n=v), id="bench_decomposition.n"),
+    # p must also be (2q)^2 for an integer q
+    pytest.param("p", 1, 4, lambda v: _bench(p=v), id="bench_decomposition.p"),
+    pytest.param("seed", 0, 3, lambda v: _bench(seed=v), id="bench_decomposition.seed"),
+    pytest.param("trials", 1, 3, lambda v: validate_suite(trials=v, epsilon=0.1),
+                 id="validate_suite.trials"),
+    pytest.param("num_accepted", 1, 3, lambda v: _oracle(num_accepted=v),
+                 id="rejection_oracle.num_accepted"),
+    pytest.param("max_proposals", 1, 3, lambda v: _oracle(max_proposals=v),
+                 id="rejection_oracle.max_proposals"),
+    pytest.param("q", 1, 3, lambda v: SmithSpec(q=v), id="SmithSpec.q"),
+    pytest.param("p", 0, 3, lambda v: MarmaSpec(phi=(0.5,), p=v), id="MarmaSpec.p"),
+    pytest.param("n_observed", 1, 3, lambda v: MarmaSpec(phi=(0.5,), n_observed=v),
+                 id="MarmaSpec.n_observed"),
+    pytest.param("N_horizon", 1, 3, lambda v: MarmaSpec(phi=(0.5,), N_horizon=v),
+                 id="MarmaSpec.N_horizon"),
+]
+
+
+@pytest.mark.parametrize("name, low, good, call", INTEGER_SITES)
+def test_every_integer_input_follows_one_rule(name, low, good, call):
+    # a bool ran as 0 or 1, 2.5 was truncated or ended in a TypeError, a
+    # string in a spec field was parsed, and a zero count ended in NumPy's
+    # or Python's own error
+    for bad in (True, 2.5, float("inf"), "3", None, low - 1):
+        with pytest.raises(ValueError, match=rf"\b{name} must be an integer >= {low}, got "):
+            call(bad)
+    # a NumPy integer and an integral float are the integer
+    call(np.int64(good))
+    call(float(good))

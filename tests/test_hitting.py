@@ -76,10 +76,11 @@ def test_hitting_matrix_rejects_out_of_range():
         compute_hitting_matrix(m, x, compute_upper_bounds(m, x))
 
 
-@pytest.mark.parametrize("rel_tol", [np.nan, -1e-3, 1.0, np.inf])
+@pytest.mark.parametrize("rel_tol", [np.nan, -1e-3, 1.0, np.inf, None, "0.1", False])
 def test_rel_tol_outside_the_unit_interval_is_rejected(rel_tol):
     # at rel_tol >= 1 every positive entry hit and draws missed x by up to
-    # 85%; NaN and negative values raised InconsistentObservationError
+    # 85%; NaN and negative values raised InconsistentObservationError, and
+    # None or a string a TypeError; a bool is not a real number here
     m = small_model([[1.0, 0.5, 0.2], [0.3, 1.0, 0.4]])
     x = np.array([1.0, 2.0])
     with pytest.raises(ValueError, match="rel_tol"):

@@ -464,6 +464,10 @@ def test_rejection_oracle_epsilon_validation():
     model = ones_lower_triangular_model()
     with pytest.raises(ValueError):
         rejection_oracle(model, np.array([1.0, 1.0, 3.0]), 0.5, 10, RngStream(0))
+    # a string or None ended in a TypeError from the range check
+    for bad in ("0.01", None, True):
+        with pytest.raises(ValueError, match="epsilon"):
+            rejection_oracle(model, np.array([1.0, 1.0, 3.0]), bad, 10, RngStream(0))
 
 
 def test_run_prediction_with_free_columns():

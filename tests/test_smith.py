@@ -105,6 +105,11 @@ def test_flooring_too_aggressive_raises():
     spec = SmithSpec(q=5, sites=((0.0, 0.0),))
     with pytest.raises(AssumptionAViolationError):
         smith_design(spec, floor_ratio=2.0)
+    # NaN ended in "flooring left an observed site uncovered", which blamed
+    # the sites; a negative ratio kept every column
+    for bad in (float("nan"), -1.0, "0.1", None):
+        with pytest.raises(ValueError, match="floor_ratio"):
+            smith_design(spec, floor_ratio=bad)
 
 
 def test_design_requires_sites():
