@@ -129,7 +129,6 @@ def test_summary_rows_layout():
     assert "q0.5" in rows[0] and "exceedance_probability" in rows[0]
 
 
-
 # every integer a caller passes in: (name, least value, an accepted value,
 # a call passing its argument there and valid values elsewhere)
 _TASK = PredictionTask(
