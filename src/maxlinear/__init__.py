@@ -8,8 +8,7 @@ samples from it, with time-series (MARMA) and spatial (kernel
 moving-maxima) front ends.
 
 The brute-force and rejection oracles that check the sampler, and the
-``validate`` self-check suite, live in ``maxlinear.oracles``; this
-package does not import it, so ``import maxlinear`` does not load scipy.
+``validate`` self-check suite, live in ``maxlinear.oracles``.
 Helpers outside ``__all__`` stay reachable in their modules, e.g.
 ``maxlinear.hitting.compute_upper_bounds``.
 """

@@ -7,7 +7,7 @@ operation completed (and, for validate, every check passed).
 ``sample`` and ``smith`` draw through ``run_prediction``. Without a
 prediction matrix they pass a ``B`` with zero rows and summarize ``Z``;
 otherwise they summarize ``Y``. ``validate`` runs the self-checks of
-``maxlinear.oracles``, which only that command imports.
+``maxlinear.oracles``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditional import conditional_law
-from .errors import MaxLinearError, _json_field
+from .errors import MaxLinearError, _json_field, _to_json
 from .experiments import (
     _marma_predictions,
     bench_decomposition,
@@ -34,6 +34,7 @@ from .hitting import DEFAULT_REL_TOL
 from .margins import standard_frechet
 from .marma import load_marma_spec, marma_coefficients, marma_truncation_quality
 from .model import load_model
+from .oracles import validate_suite
 from .sampler import PredictionTask, run_prediction
 from .smith import load_smith_spec, smith_design
 
@@ -63,20 +64,12 @@ def _print_summary(table) -> None:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, default=_jsonify)
+    text = json.dumps(doc, indent=2, default=_to_json)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def _sample_and_report(args, A, margins, x, B, threshold=None) -> int:
@@ -162,9 +155,6 @@ def cmd_smith(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # imported here, so that scipy stays off the sample/smith/marma paths
-    from .oracles import validate_suite
-
     report = validate_suite(seed=args.seed, trials=args.trials, epsilon=args.epsilon)
     _emit_json(report, args.out)
     return 0 if report["passed"] else 1

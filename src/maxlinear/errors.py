@@ -8,6 +8,8 @@ import functools
 import inspect
 import numbers
 
+import numpy as np
+
 # the most entries a design builder (MARMA or Smith) allocates
 MAX_DESIGN_ENTRIES = 200_000_000
 
@@ -38,6 +40,23 @@ def _from_json(cls, doc, what: str):
         return cls(**doc)
     except TypeError as exc:
         raise ValueError(f"{what}: {exc}") from None
+
+
+def _to_json(obj):
+    """The ``default=`` hook of ``json.dumps`` for every file and report the
+    package writes, the mirror of :func:`_from_json`: an array as a list, a
+    NumPy scalar as a number, and an object whose class declares
+    ``_json_tag`` (a model, a spec or a margin) as that tag followed by each
+    parameter of its class, read back as an attribute. Any other type is a
+    TypeError."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    tag = getattr(type(obj), "_json_tag", None)
+    if tag is None:
+        raise TypeError(f"not JSON serializable: {type(obj)!r}")
+    return {**tag, **{name: getattr(obj, name) for name in _parameters(type(obj))}}
 
 
 @functools.cache

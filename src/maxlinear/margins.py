@@ -67,9 +67,6 @@ class MarginSpec:
         overwrite the array ``h`` and return it."""
         return self.log_quantile(0.0 - h)
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Frechet(MarginSpec):
@@ -84,6 +81,9 @@ class Frechet(MarginSpec):
 
     alpha: float
     scale: float = 1.0
+
+    # a model file's tag for this class, ahead of its fields
+    _json_tag = {"kind": "frechet"}
 
     def __post_init__(self):
         _convert_fields(self, alpha=float, scale=float)
@@ -140,9 +140,6 @@ class Frechet(MarginSpec):
             h *= self.scale
         return h
 
-    def to_dict(self) -> dict:
-        return {"kind": "frechet", "alpha": self.alpha, "scale": self.scale}
-
 
 class TabulatedContinuous(MarginSpec):
     """Margin defined by a density tabulated on a grid.
@@ -151,6 +148,8 @@ class TabulatedContinuous(MarginSpec):
     zero outside; it must integrate to one within ``DENSITY_TOL`` under
     the trapezoid rule (no silent renormalization).
     """
+
+    _json_tag = {"kind": "tabulated"}
 
     def __init__(self, grid, density):
         # + 0.0 turns -0.0 into +0.0: equal tables have equal bytes
@@ -235,13 +234,6 @@ class TabulatedContinuous(MarginSpec):
             out[outside] = np.interp(u[outside], self._cdf, self.grid)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "grid": self.grid.tolist(),
-            "density": self.density.tolist(),
-        }
-
     def __eq__(self, other):
         return isinstance(other, TabulatedContinuous) and self._key == other._key
 
@@ -277,13 +269,16 @@ def _columnwise(groups, method: str, values) -> np.ndarray:
     return out.T
 
 
+# the margin classes of a model file by the kind tag each one declares
+MARGIN_KINDS = {cls._json_tag["kind"]: cls for cls in (Frechet, TabulatedContinuous)}
+
+
 def margin_from_dict(doc: dict) -> MarginSpec:
     kind = _json_field(doc, "kind", "a margin")
-    if kind not in ("frechet", "tabulated"):
+    if not isinstance(kind, str) or kind not in MARGIN_KINDS:
         raise ValueError(f"unknown margin kind: {kind!r}")
-    cls = Frechet if kind == "frechet" else TabulatedContinuous
     fields = {key: value for key, value in doc.items() if key != "kind"}
-    return _from_json(cls, fields, f"a {kind} margin")
+    return _from_json(MARGIN_KINDS[kind], fields, f"a {kind} margin")
 
 
 def standard_frechet(alpha: float = 1.0) -> Frechet:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    NonStationaryError, NotPureMarError, _check_design_size, _convert_fields, _from_json, _integer
+    NonStationaryError, NotPureMarError, _check_design_size, _convert_fields, _from_json,
+    _integer, _to_json,
 )
 
 
@@ -38,6 +39,8 @@ class MarmaSpec:
     p: int = 500
     n_observed: int = 100
     N_horizon: int = 50
+
+    _json_tag = {}  # a spec file holds the fields alone
 
     def __post_init__(self):
         _convert_fields(
@@ -173,4 +176,4 @@ def load_marma_spec(path) -> MarmaSpec:
 
 
 def save_marma_spec(spec: MarmaSpec, path) -> None:
-    Path(path).write_text(json.dumps(asdict(spec)))
+    Path(path).write_text(json.dumps(spec, default=_to_json))

@@ -24,6 +24,7 @@ from .errors import (
     _converted,
     _from_json,
     _json_field,
+    _to_json,
 )
 from .margins import MarginSpec, _readonly, margin_from_dict
 
@@ -41,6 +42,8 @@ class MaxLinearModel:
 
     A: np.ndarray
     margins: tuple[MarginSpec, ...]
+
+    _json_tag = {}  # a model file holds the fields alone
 
     @property
     def n(self) -> int:
@@ -187,8 +190,7 @@ def max_linear_apply_batch(A, Z, upper, floor) -> np.ndarray:
 # --- model file format ---------------------------------------------------
 
 def save_model(model: MaxLinearModel, path) -> None:
-    doc = {"A": model.A.tolist(), "margins": [m.to_dict() for m in model.margins]}
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_text(json.dumps(model, default=_to_json))
 
 
 def load_model(path) -> MaxLinearModel:

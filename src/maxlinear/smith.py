@@ -10,13 +10,14 @@ set.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    AssumptionAViolationError, _check_design_size, _convert_fields, _from_json, _integer, _real
+    AssumptionAViolationError, _check_design_size, _convert_fields, _from_json, _integer, _real,
+    _to_json,
 )
 
 DEFAULT_FLOOR_RATIO = 1e-12
@@ -61,6 +62,8 @@ class SmithSpec:
     alpha: float = 1.0
     sites: tuple[tuple[float, float], ...] = ()
     grid: tuple[tuple[float, float], ...] = ()
+
+    _json_tag = {}  # a spec file holds the fields alone
 
     def __post_init__(self):
         _convert_fields(
@@ -155,4 +158,4 @@ def load_smith_spec(path) -> SmithSpec:
 
 
 def save_smith_spec(spec: SmithSpec, path) -> None:
-    Path(path).write_text(json.dumps(asdict(spec)))
+    Path(path).write_text(json.dumps(spec, default=_to_json))

@@ -1,8 +1,17 @@
 import csv
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from maxlinear import (
     MarmaSpec,
@@ -24,7 +33,13 @@ from maxlinear.experiments import (
     summary_rows,
     write_sample_csv,
 )
-from maxlinear.oracles import check_rejection_oracle, rejection_oracle, validate_suite
+from maxlinear.oracles import (
+    _ks_statistic,
+    _logsumexp,
+    check_rejection_oracle,
+    rejection_oracle,
+    validate_suite,
+)
 from maxlinear.sampler import PredictionTask
 
 
@@ -102,6 +117,51 @@ def test_validate_suite_passes():
     names = [c["name"] for c in report["checks"]]
     assert "factorization identity" in names
     assert "worked example x=(1,1,3)" in names and "residuation" in names
+
+
+def test_validate_suite_runs_without_scipy():
+    # a fresh interpreter in which importing scipy fails gives the same report
+    probe = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from maxlinear.oracles import validate_suite\n"
+        "print(json.dumps(validate_suite(seed=0, trials=5, epsilon=0.02)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == validate_suite(seed=0, trials=5, epsilon=0.02)
+
+
+# samples with ties (small integers) and without, down to one value each
+_SAMPLE = st.lists(st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0)),
+                   min_size=1, max_size=40)
+
+
+@given(
+    a=_SAMPLE,
+    b=_SAMPLE,
+    v=st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from([-np.inf, np.inf])),
+               min_size=1, max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_ks_statistic_and_logsumexp_match_scipy(a, b, v):
+    # scipy is the independent reference of the oracles' numpy forms; its
+    # warnings (of the p-value, all -inf) are not about the code under test
+    vectors = (v, [-np.inf] * len(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ks = stats.ks_2samp(a, b).statistic
+        refs = [float(special.logsumexp(w)) for w in vectors]
+    assert abs(_ks_statistic(a, b) - ks) <= 1e-15
+    for w, ref in zip(vectors, refs):
+        got = _logsumexp(np.array(w))
+        if np.isfinite(ref):
+            assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
+        else:
+            assert got == ref
 
 
 def test_rejection_check_snaps_only_atoms():

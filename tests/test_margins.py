@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from maxlinear import (
     standard_frechet,
     validate_model,
 )
+from maxlinear.errors import _to_json
 from maxlinear.margins import _columnwise, margin_from_dict, margin_groups
 from maxlinear.sampler import PredictionTask, run_prediction
 
@@ -190,9 +192,14 @@ def test_tabulated_keeps_read_only_copies():
             table[0] = 1.0
 
 
+def _rewritten(margin):
+    """``margin`` written by the package's JSON writer and read back."""
+    return margin_from_dict(json.loads(json.dumps(margin, default=_to_json)))
+
+
 def test_margin_serialization_roundtrip():
     for m in (Frechet(alpha=2.5, scale=0.4), _triangle_margin()):
-        copy = margin_from_dict(m.to_dict())
+        copy = _rewritten(m)
         assert copy == m
     with pytest.raises(ValueError):
         margin_from_dict({"kind": "cauchy"})
@@ -215,7 +222,7 @@ def test_columnwise_groups_equal_margins(monkeypatch):
     # distinct but equal copy, which must join its kind's group
     kinds = (standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _triangle_margin())
     margins = [
-        kinds[j % 3] if j % 2 else margin_from_dict(kinds[j % 3].to_dict())
+        kinds[j % 3] if j % 2 else _rewritten(kinds[j % 3])
         for j in range(7)
     ]
     values = np.linspace(0.05, 0.95, 21).reshape(3, 7)
@@ -306,7 +313,7 @@ def test_columnwise_matches_per_column_in_every_layout(layout):
     # on a subset of candidate columns and on a block of adjacent columns
     kinds = (standard_frechet(1.0), Frechet(alpha=2.0, scale=0.5), _gamma2_margin())
     shared = [kinds[j % 3] for j in range(8)]
-    copies = [margin_from_dict(m.to_dict()) for m in shared]
+    copies = [_rewritten(m) for m in shared]
     single = [kinds[1]] * 8
     u = np.random.default_rng(5).random((6, 8))
     if layout == "1-d":

@@ -1,4 +1,5 @@
-"""The public import surface, checked in a fresh interpreter."""
+"""The public import surface, checked in a fresh interpreter, and the bytes
+of the files the package writes."""
 
 import json
 import os
@@ -6,12 +7,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from maxlinear import (
+    Frechet,
+    MarmaSpec,
+    SmithSpec,
+    TabulatedContinuous,
+    save_marma_spec,
+    save_model,
+    save_smith_spec,
+    standard_frechet,
+    validate_model,
+)
+from maxlinear.errors import _to_json
+
 ROOT = Path(__file__).resolve().parents[1]
 
 PROBE = r"""
 import json, sys
-import maxlinear, maxlinear.cli
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "maxlinear.oracles")
+import maxlinear, maxlinear.cli, maxlinear.oracles
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 unresolved = [n for n in maxlinear.__all__ if not hasattr(maxlinear, n)]
 from tracing import REQUEST_POINTS, SETUP_POINTS
 points = REQUEST_POINTS + SETUP_POINTS
@@ -34,7 +51,7 @@ def test_import_surface(tmp_path):
         capture_output=True, text=True, check=True,
     )
     doc = json.loads(out.stdout)
-    # scipy and the oracles load only for self-checks
+    # numpy is the only runtime dependency: the oracles need no scipy
     assert doc["loaded"] == []
     assert doc["size"] <= 50 and doc["unresolved"] == []
     # every span of the benchmark's tracer has an attribute to wrap; the
@@ -42,3 +59,37 @@ def test_import_surface(tmp_path):
     # whose span conditional.weights is covered by class_weights
     assert doc["missing"] == ["conditional.frechet_class_weights"]
     assert doc["uncovered_spans"] == []
+
+
+def test_file_writers_keep_their_bytes(tmp_path):
+    # every file goes through errors._to_json; these bytes are those of the
+    # earlier writers (to_dict per margin, dataclasses.asdict per spec)
+    model = validate_model(
+        [[1.0, 0.0, 0.5], [1.0, 1.0, 0.0], [0.25, 1.0, 1.0]],
+        [Frechet(2, 0.5), TabulatedContinuous([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+         standard_frechet()],
+    )
+    save_model(model, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_text() == (
+        '{"A": [[1.0, 0.0, 0.5], [1.0, 1.0, 0.0], [0.25, 1.0, 1.0]], "margins": '
+        '[{"kind": "frechet", "alpha": 2.0, "scale": 0.5}, '
+        '{"kind": "tabulated", "grid": [0.0, 1.0, 2.0], "density": [0.0, 1.0, 0.0]}, '
+        '{"kind": "frechet", "alpha": 1.0, "scale": 1.0}]}'
+    )
+    spec = MarmaSpec(phi=(0.7, 0.5, 0.3), theta=(0.2,), p=50, n_observed=15, N_horizon=4)
+    save_marma_spec(spec, tmp_path / "marma.json")
+    assert (tmp_path / "marma.json").read_text() == (
+        '{"phi": [0.7, 0.5, 0.3], "theta": [0.2], "p": 50, "n_observed": 15, "N_horizon": 4}'
+    )
+    spec = SmithSpec(rho=0.3, q=5, sites=((0.0, 0.0), (1.0, -0.5)), grid=((0.5, 0.5),))
+    save_smith_spec(spec, tmp_path / "smith.json")
+    assert (tmp_path / "smith.json").read_text() == (
+        '{"rho": 0.3, "beta1": 1.0, "beta2": 1.0, "M": 4.0, "q": 5, "alpha": 1.0, '
+        '"sites": [[0.0, 0.0], [1.0, -0.5]], "grid": [[0.5, 0.5]]}'
+    )
+    # any other object is a TypeError, as json.dumps gives without the hook
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps({"x": object()}, default=_to_json)
+    assert json.dumps([np.float32(0.5), np.int64(3), np.arange(2)], default=_to_json) == (
+        "[0.5, 3, [0, 1]]"
+    )

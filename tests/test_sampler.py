@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from maxlinear import (
     standard_frechet,
     validate_model,
 )
-from maxlinear.errors import AcceptanceTooRareError
+from maxlinear.errors import AcceptanceTooRareError, _to_json
 from maxlinear.hitting import compute_upper_bounds
 from maxlinear.margins import _columnwise, margin_from_dict, margin_groups
 from maxlinear.model import live_entries, max_linear_apply_batch
@@ -360,7 +361,8 @@ def test_batch_draws_are_exact_with_mixed_margins(seed, n, p, frechets):
     margins = []
     for k in gen.integers(len(kinds), size=p):
         m = kinds[k]
-        margins.append(m if gen.random() < 0.5 else margin_from_dict(m.to_dict()))
+        copy = json.loads(json.dumps(m, default=_to_json))  # the writer's document
+        margins.append(m if gen.random() < 0.5 else margin_from_dict(copy))
     A = gen.random((n, p))
     A[gen.random((n, p)) < 0.35] = 0.0
     for i in np.flatnonzero(~(A > 0).any(axis=1)):
