@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditional import conditional_law
-from .errors import MaxLinearError, _json_field, _to_json
+from .errors import MaxLinearError, _converted, _integer, _json_field, _to_json
 from .experiments import (
     _marma_predictions,
     bench_decomposition,
@@ -51,8 +51,11 @@ def _load_matrix(path: str):  # run_prediction checks the matrix
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
-def _parse_levels(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _parse_list(option: str, text: str, integers: bool = False) -> tuple:
+    """The comma-separated numbers of ``option``, or a ValueError naming it;
+    with ``integers``, each one an integer >= 1."""
+    values = tuple(_converted(option, float, tok) for tok in text.split(","))
+    return tuple(_integer(option, v, 1) for v in values) if integers else values
 
 
 def _print_summary(table) -> None:
@@ -89,7 +92,7 @@ def _sample_and_report(args, A, margins, x, B, threshold=None) -> int:
     if args.out:
         write_sample_csv(args.out, Z=result.Z if (args.emit_z or Y is None) else None, Y=Y)
     target = result.Z if Y is None else Y
-    _print_summary(summarize(target, _parse_levels(args.quantiles), threshold))
+    _print_summary(summarize(target, _parse_list("--quantiles", args.quantiles), threshold))
     return 0
 
 
@@ -162,8 +165,8 @@ def cmd_validate(args) -> int:
 
 def cmd_bench(args) -> int:
     cells = bench_decomposition(
-        n_list=tuple(int(v) for v in args.n_list.split(",")),
-        p_list=tuple(int(v) for v in args.p_list.split(",")),
+        n_list=_parse_list("--n-list", args.n_list, integers=True),
+        p_list=_parse_list("--p-list", args.p_list, integers=True),
         draws=args.draws,
         seed=args.seed,
     )

@@ -10,7 +10,8 @@ import numbers
 
 import numpy as np
 
-# the most entries a design builder (MARMA or Smith) allocates
+# the most entries a design builder (MARMA or Smith) or a prediction
+# request's sample matrix Z or prediction Y allocates
 MAX_DESIGN_ENTRIES = 200_000_000
 
 
@@ -176,12 +177,17 @@ class NotPureMarError(MaxLinearError):
 
 
 class DimensionOverflowError(MaxLinearError):
-    """Requested design matrices would hold more than MAX_DESIGN_ENTRIES entries."""
+    """Requested design or sample matrices would hold more than
+    MAX_DESIGN_ENTRIES entries."""
 
 
-def _check_design_size(rows: int, cols: int) -> None:
+def _check_design_size(rows: int, cols: int, what: str = "design") -> None:
+    """A DimensionOverflowError naming ``what`` if a rows x cols matrix
+    would hold more than MAX_DESIGN_ENTRIES entries."""
     if rows * cols > MAX_DESIGN_ENTRIES:
-        raise DimensionOverflowError(f"design would hold {rows * cols} entries")
+        raise DimensionOverflowError(
+            f"{what} would hold {rows * cols} entries, more than {MAX_DESIGN_ENTRIES}"
+        )
 
 
 class AssumptionAViolationError(MaxLinearError):

@@ -76,6 +76,9 @@ def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> Summar
     thr = None
     if threshold is not None:
         thr = np.broadcast_to(np.asarray(threshold, dtype=float), samples.shape[1:]).copy()
+        # +-inf give the exact answers 0 and 1; no sample exceeds a NaN
+        if np.isnan(thr).any():
+            raise ValueError(f"threshold must not be NaN, got {threshold!r}")
         exceed = (samples > thr).mean(axis=0)
     return SummaryTable(
         medians=order_statistic_quantile(srt, 0.5),

@@ -21,6 +21,7 @@ from .errors import (
     MarginCountMismatchError,
     NegativeEntryError,
     ZeroMassBelowBoundError,
+    _check_design_size,
     _converted,
     _integer,
 )
@@ -204,6 +205,7 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
         raise DimensionMismatchError(
             f"A and B must share the column space: {A.shape} vs {B.shape}"
         )
+    _check_design_size(num, max(A.shape[1], B.shape[0]), f"num_samples={num}: Z or Y")
     if len(task.margins) != A.shape[1]:
         raise MarginCountMismatchError(
             f"expected {A.shape[1]} margins, got {len(task.margins)}"

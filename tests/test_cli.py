@@ -255,6 +255,26 @@ def test_bench_rejects_zero_draws(capsys):
     assert "error: draws must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["bench", "--n-list", "1.5"], "--n-list"),
+    (["bench", "--n-list", ""], "--n-list"),
+    (["bench", "--n-list", "1", "--p-list", "64,0"], "--p-list"),
+    (["sample", "--quantiles", "abc"], "--quantiles"),
+    (["sample", "--predict", "B", "--threshold", "nan"], "threshold"),
+])
+def test_list_options_and_threshold_are_named(model_files, tmp_path, capsys, argv, option):
+    # each ended in a bare int() or float() message, and a NaN threshold
+    # printed exceedance probabilities of 0
+    model_path, obs_path = model_files
+    (tmp_path / "B.csv").write_text("1,0,0\n")
+    if argv[0] == "sample":
+        argv = [*argv, "--model", model_path, "--obs", obs_path, "--num", "5"]
+        argv = [str(tmp_path / "B.csv") if a == "B" else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and option in err
+
+
 def test_bench_command(capsys):
     assert main(["bench", "--n-list", "1,2", "--p-list", "64", "--draws", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

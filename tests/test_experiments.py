@@ -74,6 +74,11 @@ def test_summarize_rejects_bad_levels():
     # no rows gave "IndexError: index -1 is out of bounds"
     with pytest.raises(ValueError, match="at least one sample"):
         summarize(np.ones((0, 2)))
+    # a NaN threshold gave exceedance 0, a silent wrong answer; +-inf are exact
+    with pytest.raises(ValueError, match="^threshold must not be NaN"):
+        summarize(np.ones((10, 2)), threshold=[1.0, np.nan])
+    table = summarize(np.ones((10, 2)), threshold=[np.inf, -np.inf])
+    assert table.exceedance.tolist() == [0.0, 1.0]
 
 
 def test_write_sample_csv(tmp_path):

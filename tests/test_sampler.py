@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from maxlinear import (
     standard_frechet,
     validate_model,
 )
-from maxlinear.errors import AcceptanceTooRareError, _to_json
+from maxlinear.errors import AcceptanceTooRareError, DimensionOverflowError, _to_json
 from maxlinear.hitting import compute_upper_bounds
 from maxlinear.margins import _columnwise, margin_from_dict, margin_groups
 from maxlinear.model import live_entries, max_linear_apply_batch
@@ -585,6 +586,29 @@ def test_run_prediction_rejects_bad_count():
     for bad in (0, -1, 2.5):
         with pytest.raises(ValueError, match="^num must be an integer >= 1"):
             draw_conditional_batch(law, bad, RngStream(0))
+
+
+def test_run_prediction_checks_its_size_before_drawing(monkeypatch):
+    # a Smith run with --num 200000 ended in a NumPy memory error; the size
+    # of Z (num_samples x p) and of Y (num_samples x m) is now checked first
+    model = ones_lower_triangular_model()
+    task = PredictionTask(
+        A=model.A, B=np.ones((4, 3)), margins=model.margins,
+        x=np.array([1.0, 1.0, 3.0]), num_samples=10**9, seed=0,
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflowError, match="num_samples"):
+            run_prediction(task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    # at a cap of 40 entries, ten samples fill Y (10 x 4) exactly
+    monkeypatch.setattr("maxlinear.errors.MAX_DESIGN_ENTRIES", 40)
+    assert run_prediction(dataclasses.replace(task, num_samples=10)).Y.shape == (10, 4)
+    with pytest.raises(DimensionOverflowError, match="num_samples=11"):
+        run_prediction(dataclasses.replace(task, num_samples=11))
 
 
 def test_run_prediction_rejects_bad_seed():
