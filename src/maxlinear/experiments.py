@@ -63,7 +63,8 @@ class SummaryTable:
 
 
 def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> SummaryTable:
-    """Order-statistic summaries of a (num x m) sample matrix."""
+    """Order-statistic summaries of a (num x m) sample matrix; a NaN
+    ``threshold`` is a ValueError."""
     samples = np.asarray(samples, dtype=float)
     levels = tuple(sorted(float(v) for v in levels))
     if any(not 0.0 < v < 1.0 for v in levels):

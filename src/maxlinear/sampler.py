@@ -194,6 +194,9 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
 
     The map skips the entries of ``B`` that cannot decide their row
     (see :func:`row_floors`); ``Y`` equals ``B (max-times) Z`` exactly.
+    A ``num_samples`` for which ``Z`` or ``Y`` would hold more than
+    MAX_DESIGN_ENTRIES entries is a DimensionOverflowError, raised before
+    anything is drawn.
     """
     num = _integer("num_samples", task.num_samples, 1)
     seed = _integer("seed", task.seed, 0)

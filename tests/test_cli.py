@@ -261,7 +261,7 @@ def test_bench_rejects_zero_draws(capsys):
     (["bench", "--n-list", "1", "--p-list", "64,0"], "--p-list"),
     (["sample", "--quantiles", "abc"], "--quantiles"),
     (["sample", "--predict", "B", "--threshold", "nan"], "threshold"),
-])
+], ids=["n-list-1.5", "n-list-empty", "p-list-0", "quantiles-abc", "threshold-nan"])
 def test_list_options_and_threshold_are_named(model_files, tmp_path, capsys, argv, option):
     # each ended in a bare int() or float() message, and a NaN threshold
     # printed exceedance probabilities of 0
