@@ -67,7 +67,9 @@ def _print_summary(table) -> None:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, default=_to_json)
+    # a NaN or an infinity is a ValueError, not a report that strict JSON
+    # readers refuse
+    text = json.dumps(doc, indent=2, default=_to_json, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -113,9 +115,9 @@ def cmd_inspect(args) -> int:
         "p": model.p,
         "rank": structure.rank,
         "z_hat": structure.z_hat,
-        "classes": [c for c in structure.classes],
-        "candidate_columns": [j for j in structure.J],
-        "class_weights": [w for w in law.weights],
+        "classes": structure.classes,
+        "candidate_columns": structure.J,
+        "class_weights": law.weights,
     }
     _emit_json(doc, args.out)
     return 0

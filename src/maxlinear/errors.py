@@ -90,6 +90,14 @@ def _integer(name: str, value, low: int) -> int:
     return int(value)
 
 
+def _finite(value) -> float:
+    """``float(value)``, or a ValueError if it is NaN or infinite."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _convert_fields(obj, **converters) -> None:
     """Convert the named fields of the frozen dataclass ``obj`` in place."""
     for name, convert in converters.items():
@@ -133,7 +141,7 @@ class InconsistentObservationError(MaxLinearError):
 class NumericalOverflowError(MaxLinearError):
     """An upper bound zhat_j = min_i x_i / a_ij is beyond the float64
     range, so the observation cannot be conditioned on in floating
-    point."""
+    point; or the MARMA coefficients psi sum beyond it."""
 
 
 class EmptyScenarioClassError(MaxLinearError):
@@ -155,7 +163,7 @@ class EmptyScenarioListError(MaxLinearError):
 
 class ZeroMassBelowBoundError(MaxLinearError):
     """No value could be drawn below a truncation bound: the CDF mass
-    below it underflows to zero, or a log-quantile returned NaN."""
+    below it underflows to zero, or a quantile returned NaN."""
 
 
 class AcceptanceTooRareError(MaxLinearError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _integer
+from .errors import _check_design_size, _integer
 from .hitting import hitting_structure
 from .margins import standard_frechet
 from .marma import (
@@ -59,7 +59,6 @@ class SummaryTable:
     means: np.ndarray
     quantiles: dict[float, np.ndarray]
     exceedance: np.ndarray | None = None
-    threshold: np.ndarray | None = None
 
 
 def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> SummaryTable:
@@ -74,9 +73,8 @@ def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> Summar
     srt = np.sort(samples, axis=0)
     quantiles = {lvl: order_statistic_quantile(srt, lvl) for lvl in levels}
     exceed = None
-    thr = None
     if threshold is not None:
-        thr = np.broadcast_to(np.asarray(threshold, dtype=float), samples.shape[1:]).copy()
+        thr = np.broadcast_to(np.asarray(threshold, dtype=float), samples.shape[1:])
         # +-inf give the exact answers 0 and 1; no sample exceeds a NaN
         if np.isnan(thr).any():
             raise ValueError(f"threshold must not be NaN, got {threshold!r}")
@@ -86,7 +84,6 @@ def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> Summar
         means=samples.mean(axis=0),
         quantiles=quantiles,
         exceedance=exceed,
-        threshold=thr,
     )
 
 
@@ -222,6 +219,7 @@ def projection_bias_experiment(
 
 def _bench_design(n: int, p: int, gen: np.random.Generator) -> MaxLinearModel:
     """Spatial-kernel design with exactly p factors and n random sites."""
+    _check_design_size(n, p)  # before the n sites are drawn
     q = round(math.sqrt(p) / 2)
     if (2 * q) ** 2 != p:
         raise ValueError(f"p must be (2q)^2 for integer q, got {p}")
@@ -250,6 +248,7 @@ def bench_decomposition(
     for n, p in [(_integer("n", n, 1), _integer("p", p, 1)) for n in n_list for p in p_list]:
         gen = np.random.default_rng((seed, n, p))
         cells.append((n, p, gen, _bench_design(n, p, gen)))
+    _check_design_size(len(cells), draws, f"draws={draws}: the timings")
     times = np.empty((len(cells), draws))
     for d in range(-2, draws):  # two untimed warmup rounds
         for c, (_, p, gen, model) in enumerate(cells):

@@ -1,7 +1,8 @@
 """Margin specifications for the independent factors of a max-linear model.
 
 A margin is a continuous nonnegative distribution exposing density, CDF,
-quantile and their logarithms (``log_quantile`` inverts ``log_cdf``).
+quantile, the logarithms of the first two, and the one inverse the sampler
+calls, ``_hazard_quantile(h)``: the quantile at ``exp(-h)``.
 The Frechet family is the principal instance; ``TabulatedContinuous``
 supports arbitrary grid-based densities so the general weight formulas
 can be exercised beyond the Frechet case.
@@ -58,14 +59,11 @@ class MarginSpec:
         with np.errstate(invalid="ignore"):
             return self.log_pdf(z) - self.log_cdf(z)
 
-    def log_quantile(self, log_u):
-        """Quantile at ``exp(log_u)``: the inverse of ``log_cdf``."""
-        return self.quantile(np.exp(log_u))
-
     def _hazard_quantile(self, h):
-        """Quantile at ``exp(-h)``: the truncated draw's last step. May
-        overwrite the array ``h`` and return it."""
-        return self.log_quantile(0.0 - h)
+        """Quantile at ``exp(-h)``, the inverse of ``-log_cdf``: the
+        truncated draw's last step. May overwrite the array ``h`` and
+        return it."""
+        return self.quantile(np.exp(0.0 - h))
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class Frechet(MarginSpec):
     Density: f(z) = alpha * scale^alpha * z^(-alpha-1) * F(z), so the
     reversed hazard f / F = alpha * scale^alpha * z^(-alpha-1) needs no CDF.
     Quantile: Q(u) = scale * (-ln u)^(-1/alpha), so that
-    Q(exp(l)) = scale * (-l)^(-1/alpha) needs no exponential.
+    Q(exp(-h)) = scale * h^(-1/alpha) needs no exponential.
     """
 
     alpha: float
@@ -117,15 +115,11 @@ class Frechet(MarginSpec):
         return np.exp(self.log_pdf(z))
 
     def quantile(self, u):
-        # u <= 0 clips to log 0 = -inf and Q = 0
+        # u <= 0 clips to log 0 = -inf and Q = 0; 0 - log u rather than
+        # -log u, so that u = 1 gives h = +0 and Q = +inf
         with np.errstate(divide="ignore"):
-            return self.log_quantile(np.log(np.clip(u, 0.0, 1.0)))
-
-    def log_quantile(self, log_u):
-        # 0 - l rather than -l, so that l = 0 gives +0 and Q = +inf
-        out = np.array(log_u, dtype=float)
-        np.subtract(0.0, out, out=out)
-        out = self._hazard_quantile(out)
+            h = np.subtract(0.0, np.log(np.clip(u, 0.0, 1.0)), out=np.empty(np.shape(u)))
+        out = self._hazard_quantile(h)
         return out if out.ndim else float(out)
 
     def _hazard_quantile(self, h):
@@ -165,9 +159,11 @@ class TabulatedContinuous(MarginSpec):
             raise ValueError("support must lie in [0, inf)")
         if np.any(density < 0) or not np.all(np.isfinite(density)):
             raise ValueError("density values must be finite and nonnegative")
-        cdf = np.concatenate(
-            ([0.0], np.cumsum(np.diff(grid) * (density[:-1] + density[1:]) / 2.0))
-        )
+        # a mass beyond the float range is inf, which the check below names
+        with np.errstate(over="ignore"):
+            cdf = np.concatenate(
+                ([0.0], np.cumsum(np.diff(grid) * (density[:-1] + density[1:]) / 2.0))
+            )
         total = cdf[-1]
         if abs(total - 1.0) > DENSITY_TOL:
             raise DensityNormalizationError(

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    NonStationaryError, NotPureMarError, _check_design_size, _convert_fields, _from_json,
-    _integer, _to_json,
+    NonStationaryError, NotPureMarError, NumericalOverflowError, _check_design_size,
+    _convert_fields, _finite, _from_json, _integer, _to_json,
 )
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_finite(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class MarmaSpec:
     """Parameters of a truncated MARMA(m, q) prediction problem.
 
     Innovations are fixed to standard 1-Frechet. The constructor converts
-    each field to its type, so a spec file takes the values code does.
+    each field to its type, so a spec file takes the values code does; a
+    NaN or infinite ``phi`` or ``theta`` entry is a ValueError naming it.
     """
 
     phi: tuple[float, ...]
@@ -73,6 +74,7 @@ def marma_coefficients(phi, theta, p: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if phi.size and phi.max() >= 1.0:
         raise NonStationaryError(f"max(phi) = {phi.max()} >= 1")
+    _check_design_size(1, p + 1, f"p={p}: psi")
     alpha = np.zeros(p + 1)
     alpha[0] = 1.0
     m = phi.size
@@ -85,6 +87,9 @@ def marma_coefficients(phi, theta, p: int) -> np.ndarray:
     for j in range(p + 1):
         k = min(j, theta_full.size - 1)
         psi[j] = (theta_full[: k + 1] * alpha[j - k : j + 1][::-1]).max()
+    with np.errstate(over="ignore"):
+        if not np.isfinite(psi.sum()):
+            raise NumericalOverflowError("the coefficients psi sum beyond the float64 range")
     return psi
 
 
@@ -99,7 +104,7 @@ def marma_truncation_quality(phi, theta, p: int) -> float:
     phi = np.asarray(phi, dtype=float)
     theta = np.asarray(theta, dtype=float)
     psi = marma_coefficients(phi, theta, p)
-    prefix = psi.sum()
+    prefix = float(psi.sum())  # Python floats: a tail beyond their range is inf
     phi_star = float(phi.max()) if phi.size else 0.0
     if phi_star == 0.0:
         return 1.0  # pure moving average: psi vanishes beyond q <= p
@@ -111,7 +116,7 @@ def marma_truncation_quality(phi, theta, p: int) -> float:
     tail = theta_star * (
         (t0 * m - shifted) * phi_star**t0 + m * phi_star ** (t0 + 1) / (1.0 - phi_star)
     )
-    return max(0.0, 1.0 - tail / (prefix + tail))
+    return max(0.0, 1.0 - tail / (prefix + tail)) if tail < math.inf else 0.0
 
 
 def marma_design(psi, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +166,9 @@ def simulate_marma_window(
     p = psi.size - 1
     Z = 1.0 / -np.log(gen.random(p + n + N))  # standard 1-Frechet
     A, B = marma_design(psi, n, N)
-    return Z, (A * Z).max(axis=1), (B * Z).max(axis=1)
+    # a path beyond the float range holds inf; conditioning rejects it in x
+    with np.errstate(over="ignore"):
+        return Z, (A * Z).max(axis=1), (B * Z).max(axis=1)
 
 
 def require_pure_mar(spec: MarmaSpec) -> None:

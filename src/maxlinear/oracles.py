@@ -101,8 +101,6 @@ class ScenarioLaw:
 
     scenarios: tuple[tuple[int, ...], ...]
     probabilities: np.ndarray
-    z_hat: np.ndarray
-    margins: tuple[MarginSpec, ...]
 
 
 def scenario_log_weights(
@@ -146,7 +144,6 @@ def scenario_probabilities(
     sizes = {len(J) for J in scenarios}
     if len(sizes) != 1:
         raise ValueError(f"scenarios must share one cardinality, got sizes {sizes}")
-    z_hat = np.asarray(z_hat, dtype=float)
     log_w = scenario_log_weights(scenarios, margins, z_hat)
     total = _logsumexp(log_w)
     if not np.isfinite(total):
@@ -154,7 +151,7 @@ def scenario_probabilities(
             "observation is inconsistent with the margins: every scenario "
             "has zero density at zhat"
         )
-    return ScenarioLaw(tuple(scenarios), np.exp(log_w - total), z_hat, tuple(margins))
+    return ScenarioLaw(tuple(scenarios), np.exp(log_w - total))
 
 
 def factorization_gap(model: MaxLinearModel, x, rel_tol=DEFAULT_REL_TOL) -> float:

@@ -86,7 +86,7 @@ def _truncated_matrix(
     Raises
     ------
     ZeroMassBelowBoundError
-        if the log-CDF at a bound is -inf or a log-quantile is NaN.
+        if the log-CDF at a bound is -inf or a quantile is NaN.
     """
     kinds, label = margin_groups(margins)
     log_f = _columnwise((kinds, label), "log_cdf", bounds)
@@ -115,7 +115,7 @@ def _truncated_matrix(
         np.maximum(block, tiny, out=block)
         if np.isnan(block.max()):  # the clamps pass NaN through
             j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
-            raise ZeroMassBelowBoundError(f"log-quantile of column {j} is NaN below {bounds[j]}")
+            raise ZeroMassBelowBoundError(f"quantile of column {j} is NaN below {bounds[j]}")
     return buf.T
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    AssumptionAViolationError, _check_design_size, _convert_fields, _from_json, _integer, _real,
-    _to_json,
+    AssumptionAViolationError, _check_design_size, _convert_fields, _finite, _from_json, _integer,
+    _real, _to_json,
 )
 
 DEFAULT_FLOOR_RATIO = 1e-12
@@ -33,7 +33,10 @@ def smith_kernel(t1, t2, rho: float, beta1: float, beta2: float):
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     one_minus = 1.0 - rho * rho
-    quad = beta1**2 * t1**2 - 2.0 * rho * beta1 * beta2 * t1 * t2 + beta2**2 * t2**2
+    # far from the origin the quadratic form overflows to inf: the density's
+    # limit, 0, which exp reaches at a finite form too
+    with np.errstate(over="ignore"):
+        quad = beta1**2 * t1**2 - 2.0 * rho * beta1 * beta2 * t1 * t2 + beta2**2 * t2**2
     out = beta1 * beta2 / (2.0 * np.pi * np.sqrt(one_minus)) * np.exp(
         -quad / (2.0 * one_minus)
     )
@@ -41,7 +44,7 @@ def smith_kernel(t1, t2, rho: float, beta1: float, beta2: float):
 
 
 def _points(points) -> tuple[tuple[float, float], ...]:
-    return tuple((float(a), float(b)) for a, b in points)
+    return tuple((_finite(a), _finite(b)) for a, b in points)
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,8 @@ class SmithSpec:
     The mesh has cell width h = M/q and covers [-M, M]^2 with (2q)^2
     cells indexed by -q <= j1, j2 <= q-1 (cell centers at
     ((j1+1/2)h, (j2+1/2)h)). The constructor converts each field to its
-    type, so a spec file takes the values code does.
+    type, so a spec file takes the values code does; a NaN or infinite
+    number or coordinate is a ValueError naming its field.
     """
 
     rho: float = 0.0
@@ -67,8 +71,8 @@ class SmithSpec:
 
     def __post_init__(self):
         _convert_fields(
-            self, rho=float, beta1=float, beta2=float, M=float,
-            q=lambda v: _integer("q", v, 1), alpha=float, sites=_points, grid=_points,
+            self, rho=_finite, beta1=_finite, beta2=_finite, M=_finite,
+            q=lambda v: _integer("q", v, 1), alpha=_finite, sites=_points, grid=_points,
         )
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (-1, 1), got {self.rho}")

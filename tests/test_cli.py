@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxlinear import (
     MarmaSpec,
@@ -17,7 +24,7 @@ from maxlinear import (
     simulate_marma_window,
     standard_frechet,
 )
-from maxlinear.cli import main
+from maxlinear.cli import _emit_json, main
 from maxlinear.experiments import derived_seed
 from maxlinear.oracles import ones_lower_triangular_model
 
@@ -115,6 +122,7 @@ def test_inconsistent_observation_exits_nonzero(model_files, tmp_path, capsys):
 
 FRECHET = {"kind": "frechet", "alpha": 1.0}
 ONES = [[1.0, 1.0, 1.0]] * 3
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("command, doc, key", [
@@ -144,10 +152,17 @@ ONES = [[1.0, 1.0, 1.0]] * 3
     ("smith", {"sites": [[0.0, 0.0]] * 3, "q": "25"}, "q"),
     ("marma", {"phi": [0.5], "N_horizon": True}, "N_horizon"),
     pytest.param("obs", "1,1,3\n1,1,3\n", None, id="obs-two-rows-None"),
+    # json.dumps writes these as NaN, Infinity and -Infinity
+    ("marma", {"phi": [NAN], "p": 20, "n_observed": 5, "N_horizon": 3}, "phi"),
+    ("marma", {"phi": [0.5], "theta": [INF]}, "theta"),
+    ("smith", {"sites": [[0.0, 0.0]], "beta1": NAN}, "beta1"),
+    ("smith", {"sites": [[0.0, 0.0]], "M": INF}, "M"),
+    ("smith", {"sites": [[0.0, -INF]]}, "sites"),
+    ("smith", {"sites": [[0.0, 0.0]], "grid": [[NAN, 0.0]]}, "grid"),
 ])
 def test_malformed_input_files_exit_nonzero(model_files, tmp_path, capsys, command, doc, key):
-    # each gave a traceback, or ran with a misspelt key ignored or an
-    # observation matrix read as one vector
+    # each gave a traceback, or ran with a misspelt key ignored, an
+    # observation matrix read as one vector or a NaN spec value let through
     model_path, obs_path = model_files
     bad = tmp_path / "bad.json"
     bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -163,6 +178,15 @@ def test_malformed_input_files_exit_nonzero(model_files, tmp_path, capsys, comma
     assert err.startswith("error:") and err.count("\n") == 1
     # with no key at fault, the line says what the file must be
     assert repr(key) in err if key else " must " in err
+
+
+def test_reports_refuse_non_finite_numbers(capsys):
+    # the window of MarmaSpec(phi=(0.5,), theta=(1e306,), p=20, n_observed=5,
+    # N_horizon=3) at seed 0 has a horizon of inf, and `marma` printed it as
+    # "true_future": [..., Infinity]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _emit_json({"true_future": [1.0, INF]}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_rel_tol_of_one_exits_nonzero(model_files, capsys):
@@ -279,3 +303,133 @@ def test_bench_command(capsys):
     assert main(["bench", "--n-list", "1,2", "--p-list", "64", "--draws", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["cells"]) == 2
+
+
+# --- no input ends the CLI in a traceback -------------------------------------
+
+# a file's value or an option's text is replaced by one of these; every
+# count among them is tiny or far past MAX_DESIGN_ENTRIES, so a run is
+# rejected before it allocates, and no example allocates more than a few MB
+ODD_VALUES = [NAN, INF, -INF, -1.0, 0, 2.5, 1e308, 10**12, 10**18, True, None, "x", [], {}]
+ODD_TEXT = ["nan", "inf", "-1", "0", "2.5", "1e308", str(10**12), str(10**18), "", "abc", "1,0"]
+FILES = {
+    "model.json": {
+        "A": [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]],
+        "margins": [
+            FRECHET,
+            {**FRECHET, "alpha": 2.0, "scale": 0.5},
+            {"kind": "tabulated", "grid": [0.0, 2.0, 4.0, 6.0], "density": [0.0, 0.25, 0.25, 0.0]},
+        ],
+    },
+    "obs.csv": "1.0,1.0,3.0\n",
+    "B.json": {"B": [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]},
+    "marma.json": {"phi": [0.5], "theta": [0.2], "p": 20, "n_observed": 5, "N_horizon": 3},
+    "smith.json": {"sites": [[0.3, 0.4], [-1.2, 0.9]], "grid": [[0.0, 0.0]], "q": 3},
+    "site_obs.csv": "5.0,5.0\n",
+}
+# a path names a file of FILES, or none, in the example's directory; None
+# drops the option
+PATHS = [None, *FILES, "missing.json"]
+OUT = [None, "out.txt", "missing/out.txt"]
+# a large --reps or --draws is a long run, not an error: those two take
+# only small or invalid counts
+COUNTS = ["1", "0", "-1", "2.5", "", "abc"]
+COMMANDS = {
+    "sample": {
+        "--model": ("model.json", PATHS), "--obs": ("obs.csv", PATHS),
+        "--predict": ("B.json", PATHS), "--num": ("20", ODD_TEXT),
+        "--threshold": ("2", [None, *ODD_TEXT]), "--quantiles": ("0.5,0.9", ODD_TEXT),
+        "--rel-tol": ("1e-9", ODD_TEXT), "--seed": ("1", ODD_TEXT), "--out": (None, OUT),
+    },
+    "inspect": {
+        "--model": ("model.json", PATHS), "--obs": ("obs.csv", PATHS),
+        "--rel-tol": ("1e-9", ODD_TEXT), "--out": (None, OUT),
+    },
+    "marma": {
+        "--spec": ("marma.json", PATHS),
+        "--mode": ("predict", ["coverage", "projection", "quality"]),
+        "--reps": ("2", COUNTS), "--num": ("20", ODD_TEXT), "--seed": ("1", ODD_TEXT),
+        "--out": (None, OUT),
+    },
+    "smith": {
+        "--spec": ("smith.json", PATHS), "--obs": ("site_obs.csv", PATHS),
+        "--num": ("20", ODD_TEXT), "--quantiles": ("0.5", ODD_TEXT), "--out": (None, OUT),
+    },
+    "bench": {
+        "--n-list": ("1,2", ODD_TEXT), "--p-list": ("4,16", ODD_TEXT),
+        "--draws": ("2", COUNTS + [str(10**12)]), "--out": (None, OUT),
+    },
+}
+
+
+def _mutated(draw, doc):
+    """``doc`` with one value, found by a walk down from its top, replaced
+    by an odd one."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+        doc = copy.copy(doc)
+        doc[key] = _mutated(draw, doc[key])
+        return doc
+    return draw(st.sampled_from(ODD_VALUES))
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv, files): a command whose options each keep their value or
+    take an odd one, and FILES with up to two values replaced in each."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = [command]
+    for option, (good, odd) in COMMANDS[command].items():
+        value = draw(st.one_of(st.just(good), st.sampled_from(odd)))
+        if value is not None:
+            argv += [option, value]
+    files = {}
+    for name, doc in FILES.items():
+        for _ in range(draw(st.integers(0, 2))):
+            if isinstance(doc, str):
+                cells = doc.strip().split(",")
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_TEXT))
+                doc = ",".join(cells) + draw(st.sampled_from(["\n", "\n" + doc]))
+            else:
+                doc = _mutated(draw, doc)
+        files[name] = doc
+    return argv, files
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} in a JSON document")
+
+
+@given(run=_cli_runs())
+@example(run=(["marma", "--spec", "marma.json", "--mode", "quality"], {
+    **FILES, "marma.json": {"phi": [NAN], "p": 20, "n_observed": 5, "N_horizon": 3},
+}))
+@example(run=(["marma", "--spec", "marma.json", "--mode", "quality"], {
+    **FILES, "marma.json": {**FILES["marma.json"], "theta": [1e308]},
+}))
+@settings(max_examples=150, deadline=None)
+def test_cli_never_prints_a_traceback(run):
+    # each run exits 0, exits 2 from argparse, or prints one error: line;
+    # a JSON document it writes holds no NaN or Infinity
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, doc in files.items():
+            (d / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = [str(d / a) if a in files or a.startswith(("missing", "out")) else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        if code == 2:
+            assert "error:" in err.splitlines()[-1]
+        elif code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, err
+        else:
+            assert code == 0 and not err
+            if argv[0] in ("inspect", "marma", "bench"):
+                text = (d / "out.txt").read_text() if "--out" in argv else out.getvalue()
+                json.loads(text, parse_constant=_refuse)

@@ -24,6 +24,7 @@ from maxlinear import (
     summarize,
     validate_model,
 )
+from maxlinear.errors import DimensionOverflowError
 from maxlinear.experiments import (
     bench_decomposition,
     coverage_experiment,
@@ -185,6 +186,10 @@ def test_bench_decomposition_smoke():
         assert cell["p"] == 100
     with pytest.raises(ValueError):
         bench_decomposition(n_list=(1,), p_list=(123,), draws=1)
+    # 10**12 sites or timings were a MemoryError; now refused before allocating
+    for n, draws in ((10**12, 1), (1, 10**12)):
+        with pytest.raises(DimensionOverflowError):
+            bench_decomposition(n_list=(n,), p_list=(4,), draws=draws)
 
 
 def test_summary_rows_layout():

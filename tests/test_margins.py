@@ -42,8 +42,7 @@ def test_frechet_edge_values():
     assert np.isneginf(m.log_cdf(0.0))
     # z**-alpha overflows: the limit, without a RuntimeWarning
     assert np.isneginf(m.log_cdf(1e-320)) and np.isneginf(m.log_pdf(1e-320))
-    assert m.log_quantile(-np.inf) == 0.0
-    assert isinstance(m.log_quantile(-1.0), float)
+    assert np.array_equal(m._hazard_quantile(np.array([np.inf, 0.0])), [0.0, np.inf])
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.0 / 3.0, 2.0])
@@ -58,16 +57,17 @@ def test_frechet_quantile_limits(alpha):
 @pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.5, 1.0, 2.0, 4.0, 20.0])
 @pytest.mark.parametrize("scale", [0.2, 1.0, 1.5, 5.0])
 def test_frechet_quantile_is_the_log_quantile_of_log_u(alpha, scale):
-    # one inverse: bitwise equal on [0, 1] and at NaN; outside, Q(0) or Q(1)
+    # one inverse: Q(u) is the hazard kernel at h = 0 - log u, bitwise on
+    # [0, 1] and at NaN, for arrays and scalars; outside, Q(0) or Q(1)
     m = Frechet(alpha=alpha, scale=scale)
     u = np.array([0.0, 5e-324, 1e-300, 0.3, 1.0 - 1e-16, 1.0, np.nan])
     with np.errstate(divide="ignore"):
-        log_u = np.log(u)
-    assert np.array_equal(m.quantile(u).view(np.int64), m.log_quantile(log_u).view(np.int64))
-    for v, lv in zip(u.tolist(), log_u.tolist()):
+        h = 0.0 - np.log(u)
+    assert np.array_equal(m.quantile(u).view(np.int64), m._hazard_quantile(h.copy()).view(np.int64))
+    for v, hv in zip(u.tolist(), h.tolist()):
         q = m.quantile(v)
         assert isinstance(q, float)
-        assert np.float64(q).view(np.int64) == np.float64(m.log_quantile(lv)).view(np.int64)
+        assert np.float64(q).view(np.int64) == m._hazard_quantile(np.array(hv)).view(np.int64)
     assert np.array_equal(m.quantile(np.array([-0.5, -np.inf])), [0.0, 0.0])
     assert np.array_equal(m.quantile(np.array([1.5, np.inf])), [np.inf, np.inf])
 
@@ -95,14 +95,14 @@ def test_frechet_quantile_inverts_cdf(alpha, scale, u):
 @given(
     alpha=st.floats(0.5, 20.0),
     scale=st.floats(0.2, 5.0),
-    log_u=st.floats(-1e6, -1e-12),
-    mid=st.floats(-700.0, -0.01),
+    h=st.floats(1e-12, 1e6),
+    mid=st.floats(0.01, 700.0),
 )
 @settings(max_examples=200, deadline=None)
-def test_frechet_log_quantile_inverts_log_cdf(alpha, scale, log_u, mid):
+def test_frechet_hazard_quantile_inverts_log_cdf(alpha, scale, h, mid):
     m = Frechet(alpha=alpha, scale=scale)
-    assert m.log_cdf(m.log_quantile(log_u)) == pytest.approx(log_u, rel=1e-9)
-    assert m.log_quantile(mid) == pytest.approx(m.quantile(np.exp(mid)), rel=1e-9)
+    assert m.log_cdf(m._hazard_quantile(np.array(h))) == pytest.approx(-h, rel=1e-9)
+    assert m._hazard_quantile(np.array(mid)) == pytest.approx(m.quantile(np.exp(-mid)), rel=1e-9)
 
 
 @given(
@@ -147,12 +147,11 @@ def test_tabulated_basic():
     assert late.cdf(1.0) == 0.0 < late.cdf(1.5)
 
 
-def test_tabulated_log_quantile_is_the_default():
+def test_tabulated_hazard_quantile_is_the_default():
     m = _triangle_margin()
-    assert type(m).log_quantile is MarginSpec.log_quantile
-    log_u = np.log(np.linspace(0.01, 0.99, 25))
-    assert np.array_equal(m.log_quantile(log_u), m.quantile(np.exp(log_u)))
-    assert isinstance(m.log_quantile(-1.0), float)
+    assert type(m)._hazard_quantile is MarginSpec._hazard_quantile
+    h = -np.log(np.linspace(0.01, 0.99, 25))
+    assert np.array_equal(m._hazard_quantile(h.copy()), m.quantile(np.exp(-h)))
 
 
 def test_tabulated_rejects_unnormalized():
@@ -330,12 +329,13 @@ def test_columnwise_matches_per_column_in_every_layout(layout):
                 ("log_pdf", 4.0 * u),
                 ("log_reversed_hazard", 4.0 * u),
                 ("quantile", u),
-                ("log_quantile", np.log(u)),
+                ("_hazard_quantile", -np.log(u)),
             ):
+                # copies, as _hazard_quantile may overwrite its input
                 values = values[..., cols]
-                out = _columnwise((groups, label[cols]), method, values)
+                out = _columnwise((groups, label[cols]), method, np.copy(values))
                 expected = np.stack(
-                    [getattr(m, method)(values[..., j]) for j, m in enumerate(subset)],
+                    [getattr(m, method)(np.copy(values[..., j])) for j, m in enumerate(subset)],
                     axis=-1,
                 )
                 assert np.array_equal(out, expected)

@@ -5,6 +5,7 @@ from maxlinear import (
     MarmaSpec,
     NonStationaryError,
     NotPureMarError,
+    NumericalOverflowError,
     RngStream,
     load_marma_spec,
     marma_coefficients,
@@ -31,6 +32,12 @@ def test_spec_validation():
     for key in ("p", "n_observed", "N_horizon"):
         with pytest.raises(ValueError, match=f"invalid '{key}'"):
             MarmaSpec(phi=(0.5,), **{key: 10.9})
+    # NaN passed both checks and gave a NaN psi_sum; inf named B, not phi
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="invalid 'phi': must be finite"):
+            MarmaSpec(phi=(0.5, bad))
+        with pytest.raises(ValueError, match="invalid 'theta': must be finite"):
+            MarmaSpec(phi=(0.5,), theta=(bad,))
 
 
 def test_mar3_coefficient_prefix():
@@ -90,6 +97,17 @@ def test_design_band_width():
 def test_design_overflow_guard():
     with pytest.raises(DimensionOverflowError):
         marma_design(np.ones(100_001), 2000, 1000)
+    # p = 10**18 was a MemoryError from the psi buffer
+    with pytest.raises(DimensionOverflowError):
+        marma_coefficients((0.5,), (), 10**18)
+
+
+def test_coefficients_past_the_float_range():
+    # a psi sum of inf was printed as "psi_sum": Infinity; a tail majorant
+    # past the range makes the bound 0, without a warning
+    with pytest.raises(NumericalOverflowError):
+        marma_coefficients((0.5,), (1e308,), 20)
+    assert marma_truncation_quality((0.999,), (1e306,), 2) == 0.0
 
 
 def test_simulated_path_satisfies_recursion():

@@ -110,15 +110,15 @@ def test_truncated_matrix_heterogeneous_path():
     assert np.all(vals > 0)
 
 
-
 def test_truncated_matrix_blocks_match_one_pass():
     # 700 samples put 46 columns in a block, so 120 columns take three
     margins = tuple(Frechet(2.0, 0.5) if j % 3 else standard_frechet(1.0) for j in range(120))
     bounds = RngStream(5).generator().uniform(0.5, 3.0, 120)
     vals = _truncated_matrix(margins, bounds, RngStream(6).generator(), 700)
-    log_u = np.log(RngStream(6).generator().random((120, 700)))
-    log_u += _columnwise(margin_groups(margins), "log_cdf", bounds)[:, None]
-    assert np.array_equal(vals, _columnwise(margin_groups(margins), "log_quantile", log_u.T))
+    hazard = -_columnwise(margin_groups(margins), "log_cdf", bounds)[:, None]
+    h = hazard - np.log(RngStream(6).generator().random((120, 700)))
+    assert np.array_equal(vals, _columnwise(margin_groups(margins), "_hazard_quantile", h.T))
+
 
 class _FixedQuantile(MarginSpec):
     """Unit Frechet whose quantile always returns ``value``."""
@@ -131,6 +131,33 @@ class _FixedQuantile(MarginSpec):
 
     def quantile(self, u):
         return np.full(np.shape(u), self.value)
+
+
+class _QuantileOnly(MarginSpec):
+    """Unit Frechet through cdf, pdf and quantile alone; it keeps each
+    array its quantile is called with."""
+
+    def __init__(self):
+        self.calls = []
+
+    def cdf(self, z):
+        return standard_frechet(1.0).cdf(z)
+
+    def pdf(self, z):
+        return standard_frechet(1.0).pdf(z)
+
+    def quantile(self, u):
+        self.calls.append(np.array(u))
+        return standard_frechet(1.0).quantile(u)
+
+
+def test_a_margin_with_only_a_quantile_draws_through_it():
+    # the default hazard kernel: one quantile call at exp(-h) per block
+    m, bounds = _QuantileOnly(), np.array([0.5, 2.0, 7.0])
+    vals = _truncated_matrix((m,) * 3, bounds, RngStream(3).generator(), 200)
+    h = -np.log(m.cdf(bounds))[:, None] - np.log(RngStream(3).generator().random((3, 200)))
+    assert len(m.calls) == 1 and np.array_equal(m.calls[0], np.exp(-h))
+    assert np.array_equal(vals.T, standard_frechet(1.0).quantile(np.exp(-h)))
 
 
 def test_truncated_matrix_clamps_to_the_bound():
@@ -184,10 +211,10 @@ def test_block_fills_leave_the_stream_where_one_call_does():
 
 def test_library_margins_never_return_nan():
     # so only a custom margin can reach the NaN error of _truncated_matrix
-    log_u = np.array([-np.inf, -1e308, -1e5, -745.2, -1.0, -1e-300, -0.0, 0.0])
+    h = np.array([np.inf, 1e308, 1e5, 745.2, 1.0, 1e-300, 0.0])
     for m in (standard_frechet(1.0), Frechet(0.5, 3.0), Frechet(20.0, 0.2), _gamma2_margin()):
-        with np.errstate(over="ignore"):  # (-1e-300) ** -2 overflows to inf
-            assert not np.any(np.isnan(m.log_quantile(log_u)))
+        with np.errstate(over="ignore"):  # (1e-300) ** -2 overflows to inf
+            assert not np.any(np.isnan(m._hazard_quantile(h.copy())))
 
 
 @given(
@@ -213,7 +240,7 @@ def test_truncated_values_lie_strictly_inside(seed, log10_bounds, alpha, scale, 
     assert np.all(np.isfinite(vals)) and np.all((vals > 0) & (vals < bounds))
     with np.errstate(divide="ignore"):
         log_u = np.log(RngStream(seed).generator().random((bounds.size, 40)))
-    raw = _columnwise(margin_groups(margins), "log_quantile", (log_u + log_f[:, None]).T)
+    raw = _columnwise(margin_groups(margins), "_hazard_quantile", (-log_f[:, None] - log_u).T)
     inside = (raw > 0) & (raw < bounds)
     assert np.array_equal(vals[inside], raw[inside])
 

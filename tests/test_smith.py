@@ -67,6 +67,14 @@ def test_spec_validation():
     for q in (2.5, float("inf")):
         with pytest.raises(ValueError, match="invalid 'q'"):
             SmithSpec(q=q)
+    # a NaN passed the sign checks and smith_design blamed the flooring
+    for bad in (np.nan, np.inf, -np.inf):
+        for key in ("rho", "beta1", "beta2", "M", "alpha"):
+            with pytest.raises(ValueError, match=f"invalid '{key}': must be finite"):
+                SmithSpec(sites=SITES7, **{key: bad})
+        for key in ("sites", "grid"):
+            with pytest.raises(ValueError, match=f"invalid '{key}': must be finite"):
+                SmithSpec(**{"sites": SITES7, key: ((0.0, 0.0), (bad, 1.0))})
 
 
 def test_design_shape_and_positivity():
