@@ -141,7 +141,8 @@ class InconsistentObservationError(MaxLinearError):
 class NumericalOverflowError(MaxLinearError):
     """An upper bound zhat_j = min_i x_i / a_ij is beyond the float64
     range, so the observation cannot be conditioned on in floating
-    point; or the MARMA coefficients psi sum beyond it."""
+    point; or a prediction B (max-times) Z, or the sum of the MARMA
+    coefficients psi, is beyond it."""
 
 
 class EmptyScenarioClassError(MaxLinearError):

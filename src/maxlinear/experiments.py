@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import resource
 import time
 from dataclasses import dataclass
 
@@ -236,7 +237,10 @@ def bench_decomposition(
     seed: int = 0,
 ) -> list[dict]:
     """Mean/std wall time of upper bounds + hitting matrix + decomposition,
-    per (n, p) cell, over model-generated observations.
+    per (n, p) cell, over model-generated observations, and the mean
+    count of minor page faults per timed call (``minor_faults_per_call``,
+    from ``getrusage``), which shows when a cell's time goes to mapping
+    fresh memory.
 
     The cells are timed round-robin: draw d of every cell runs before
     draw d + 1 of any, so a drift in machine speed hits every cell alike.
@@ -250,17 +254,20 @@ def bench_decomposition(
         cells.append((n, p, gen, _bench_design(n, p, gen)))
     _check_design_size(len(cells), draws, f"draws={draws}: the timings")
     times = np.empty((len(cells), draws))
+    faults = np.zeros(len(cells))
     for d in range(-2, draws):  # two untimed warmup rounds
         for c, (_, p, gen, model) in enumerate(cells):
             Z = 1.0 / -np.log(gen.random(p))
             x = (model.A * Z).max(axis=1)
             best = np.inf
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(3):  # best-of-3 damps clock and allocator noise
                 t0 = time.perf_counter()
                 hitting_structure(model, x)
                 best = min(best, time.perf_counter() - t0)
             if d >= 0:
                 times[c, d] = best
+                faults[c] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return [
         {
             "n": n,
@@ -268,7 +275,8 @@ def bench_decomposition(
             "mean_seconds": float(t.mean()),
             "std_seconds": float(t.std(ddof=1)) if draws > 1 else 0.0,
             "median_seconds": float(np.median(t)),
+            "minor_faults_per_call": float(f / (3 * draws)),
             "draws": draws,
         }
-        for (n, p, _, _), t in zip(cells, times)
+        for (n, p, _, _), t, f in zip(cells, times, faults)
     ]

@@ -7,6 +7,10 @@ matrix marks the (i, j) pairs where that bound reproduces x_i exactly
 columns form equivalence classes; the classes make the conditional law
 factorize, which is what keeps sampling linear in n and p instead of
 exponential.
+
+zhat and H come from one pass over A in column blocks that makes no
+n x p float temporary and also checks A as ``validate_model`` does, so
+``run_prediction`` hands its A over without a copy or that call.
 """
 
 from __future__ import annotations
@@ -18,10 +22,16 @@ import numpy as np
 from .errors import (
     EmptyScenarioClassError,
     InconsistentObservationError,
+    MaxLinearError,
     NumericalOverflowError,
     _real,
 )
-from .model import MaxLinearModel, validate_observations
+from .model import (
+    MaxLinearModel,
+    _block_width,
+    _check_model_matrix,
+    validate_observations,
+)
 
 DEFAULT_REL_TOL = 1e-9
 
@@ -56,29 +66,13 @@ def compute_upper_bounds(model: MaxLinearModel, x) -> np.ndarray:
 
     zhat_j = min over rows i with A[i,j] > 0 of x_i / A[i,j]; finite and
     positive under Assumption A.
-    """
-    x = validate_observations(x, model.n)
-    return _upper_bounds(model.A, x)
-
-
-def _upper_bounds(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """zhat of a validated A (every column has a positive entry).
 
     Raises
     ------
     NumericalOverflowError
         if some zhat_j = x_i / a_ij exceeds the largest float64.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        ratios = np.where(A > 0, x[:, None] / A, np.inf)
-    z_hat = ratios.min(axis=0)
-    over = np.flatnonzero(z_hat == np.inf)
-    if over.size:
-        raise NumericalOverflowError(
-            f"upper bound of column {over[0]} overflows float64: every "
-            f"x_i / a_ij of that column exceeds {np.finfo(float).max:.3g}"
-        )
-    return z_hat
+    return _bounds_and_hits(model.A, x, hits=False)[0]
 
 
 def compute_hitting_matrix(
@@ -97,24 +91,85 @@ def compute_hitting_matrix(
         if some row has no hit, i.e. x is not in the range of the model
         within tolerance.
     """
-    x = validate_observations(x, model.n)
-    return _hitting_matrix(model.A, x, np.asarray(z_hat, dtype=float), rel_tol)
+    return _bounds_and_hits(model.A, x, rel_tol, np.asarray(z_hat, dtype=float))[1]
 
 
-def _hitting_matrix(
-    A: np.ndarray, x: np.ndarray, z_hat: np.ndarray, rel_tol: float
-) -> np.ndarray:
+def _bounds_and_hits(A: np.ndarray, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
+    """``(z_hat, H)`` of the 2-d float ``A`` at the observation ``x``, in
+    one pass over the column blocks of ``A``.
+
+    A given ``z_hat`` is used as it is; with ``hits=False`` H is None.
+    Per block, a min and a max (no temporary) check that the entries are
+    finite and nonnegative, and zhat and H are computed in one reused
+    (n, width) float buffer, with no mask ``A > 0``: x_i / 0 is inf and a
+    zero entry never hits. So a column with no positive entry leaves its
+    zhat at inf and a row with none has no hit, and with both zhat and H
+    formed a clean pass has met every condition of :func:`validate_model`.
+    Every fault (a bad entry, a bad ``x``, an infinite zhat, a bad
+    ``rel_tol``, a row with no hit) first runs that function's checks of
+    ``A``, which raise the first fault of ``A`` in its order; only a clean
+    ``A`` lets the pass's own fault through.
+    """
+    n, p = A.shape
+    try:
+        x = validate_observations(x, n)
+    except (MaxLinearError, ValueError, TypeError):
+        _check_model_matrix(A)  # a fault of A is reported first
+        raise
+    if A.size == 0:
+        _check_model_matrix(A)  # raises DimensionMismatchError
+    bounds = z_hat is None
+    if bounds:
+        z_hat = np.empty(p)
     # at rel_tol >= 1 every a_ij * zhat_j <= x_i would count as a hit
-    if not (_real(rel_tol) and 0.0 <= rel_tol < 1.0):
+    tol_ok = _real(rel_tol) and 0.0 <= rel_tol < 1.0
+    H = np.empty((n, p), dtype=bool) if hits and tol_ok else None
+    xc = x[:, None]
+    tol = rel_tol * xc if H is not None else None
+    width = _block_width(n)
+    buf = np.empty((n, min(width, p)))
+    # x_i / 0 = inf bounds nothing; an overflowing zhat is reported below
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, p, width):
+            block = A[:, start : start + width]
+            cols = slice(start, start + block.shape[1])
+            work = buf[:, : block.shape[1]]
+            # min >= 0 rejects NaN and negative values, max < inf rejects +inf
+            if not (block.min() >= 0.0 and block.max() < np.inf):
+                _check_model_matrix(A)  # raises NegativeEntryError
+            if bounds:
+                # the entries are >= 0, so abs only turns -0.0 into 0.0,
+                # which keeps x_i / a_ij at +inf for every zero entry
+                np.abs(block, out=work)
+                np.divide(xc, work, out=work)
+                z = work.min(axis=0, out=z_hat[cols])
+                if z.max() == np.inf:  # an empty column, or an overflow
+                    _check_model_matrix(A)
+                    raise NumericalOverflowError(
+                        f"upper bound of column {start + int(np.argmax(z == np.inf))} "
+                        "overflows float64: every x_i / a_ij of that column exceeds "
+                        f"{np.finfo(float).max:.3g}"
+                    )
+            if H is not None:
+                # a zero entry has |0 - x_i| = x_i > rel_tol * x_i, so H
+                # needs no mask: it is False wherever A is not positive
+                np.multiply(block, z_hat[cols], out=work)
+                np.subtract(work, xc, out=work)
+                np.abs(work, out=work)
+                np.less_equal(work, tol, out=H[:, cols])
+    if not hits:
+        return z_hat, None
+    if H is None:
+        _check_model_matrix(A)
         raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
-    H = (A > 0) & (np.abs(A * z_hat - x[:, None]) <= rel_tol * x[:, None])
-    bad = np.flatnonzero(~H.any(axis=1))
-    if bad.size:
+    missed = ~H.any(axis=1)
+    if missed.any():  # an empty row, or x outside the model range
+        _check_model_matrix(A)
         raise InconsistentObservationError(
-            f"no factor can reproduce observation rows {bad.tolist()}; "
+            f"no factor can reproduce observation rows {np.flatnonzero(missed).tolist()}; "
             "x is outside the model range (within tolerance)"
         )
-    return H
+    return z_hat, H
 
 
 def decompose(H, z_hat) -> HittingStructure:
@@ -220,11 +275,10 @@ def hitting_structure(
 ) -> HittingStructure:
     """Upper bounds, hitting matrix and decomposition in one call.
 
-    Validates the observation once and skips the redundant re-checks of
-    the standalone entry points, so it is cheaper than calling the
-    three steps separately.
+    zhat and H come from one pass over the column blocks of ``model.A``,
+    which also checks ``A`` as :func:`validate_model` does, so a model
+    built from an unchecked ``A`` gets the same errors, in the same order,
+    as ``validate_model`` followed by this call.
     """
-    x = validate_observations(x, model.n)
-    z_hat = _upper_bounds(model.A, x)
-    H = _hitting_matrix(model.A, x, z_hat, rel_tol)
+    z_hat, H = _bounds_and_hits(model.A, x, rel_tol)
     return _decompose_checked(H, z_hat)

@@ -1,8 +1,10 @@
 """Max-linear model core: X = A (max-times) Z.
 
 The model couples a nonnegative coefficient matrix with one margin per
-factor. Both the matrix and the observation vector are validated up
-front; downstream modules assume these invariants and never re-check.
+factor. ``validate_model`` checks the matrix and keeps a read-only copy;
+``hitting_structure`` runs the same checks of the matrix within its one
+blocked pass, so a request builds its model without either. The
+observation vector is validated where it is used.
 """
 
 from __future__ import annotations
@@ -54,6 +56,21 @@ class MaxLinearModel:
         return self.A.shape[1]
 
 
+def _block_width(rows: int) -> int:
+    """Columns of a ``rows``-row matrix that fit in one block of
+    BLOCK_ELEMENTS entries (at least one)."""
+    return max(1, BLOCK_ELEMENTS // max(rows, 1))
+
+
+def _matrix(M, name: str) -> np.ndarray:
+    """``M`` as a 2-d float array: a ValueError naming it if it is not an
+    array of numbers, a DimensionMismatchError if it is not 2-d."""
+    M = _converted(name, np.asarray, M, dtype=float)
+    if M.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be 2-d, got shape {M.shape}")
+    return M
+
+
 def check_coefficients(M, name: str) -> np.ndarray:
     """Return ``M`` as a 2-d float array after checking that every entry
     is finite and nonnegative.
@@ -68,9 +85,7 @@ def check_coefficients(M, name: str) -> np.ndarray:
         if any entry is negative or non-finite; the message names the
         offending columns.
     """
-    M = _converted(name, np.asarray, M, dtype=float)
-    if M.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-d, got shape {M.shape}")
+    M = _matrix(M, name)
     # min >= 0 rejects NaN and negative values, max < inf rejects +inf
     if M.size and not (M.min() >= 0.0 and M.max() < np.inf):
         bad = np.flatnonzero(~((M >= 0.0) & (M < np.inf)).all(axis=0))
@@ -80,20 +95,9 @@ def check_coefficients(M, name: str) -> np.ndarray:
     return M
 
 
-def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
-    """Check structural assumptions and return an immutable model.
-
-    Raises
-    ------
-    DimensionMismatchError
-        if ``A`` is not 2-d or has no rows or no columns.
-    NegativeEntryError
-        if any entry is negative or non-finite.
-    ZeroRowError, ZeroColumnError
-        if a row or column of ``A`` has no strictly positive entry.
-    MarginCountMismatchError
-        if ``margins`` does not have one entry per column.
-    """
+def _check_model_matrix(A) -> np.ndarray:
+    """``A`` as a 2-d float array after checking it as the coefficients of
+    a model; the errors are those of :func:`validate_model`, in its order."""
     A = check_coefficients(A, "A")
     if A.size == 0:
         raise DimensionMismatchError(f"A has no rows or no columns: shape {A.shape}")
@@ -104,6 +108,27 @@ def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
     bad_cols = np.flatnonzero(~pos.any(axis=0))
     if bad_cols.size:
         raise ZeroColumnError(f"columns with no positive entry: {bad_cols.tolist()}")
+    return A
+
+
+def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
+    """Check structural assumptions and return an immutable model that
+    owns a read-only copy of ``A``.
+
+    Raises
+    ------
+    ValueError
+        if ``A`` is not an array of numbers.
+    DimensionMismatchError
+        if ``A`` is not 2-d or has no rows or no columns.
+    NegativeEntryError
+        if any entry is negative or non-finite.
+    ZeroRowError, ZeroColumnError
+        if a row or column of ``A`` has no strictly positive entry.
+    MarginCountMismatchError
+        if ``margins`` does not have one entry per column.
+    """
+    A = _check_model_matrix(A)
     margins = tuple(margins)
     if len(margins) != A.shape[1]:
         raise MarginCountMismatchError(
@@ -138,7 +163,9 @@ def live_entries(A, upper, floor) -> np.ndarray:
     row. With floor >= 0, zero entries are never live.
     """
     A = np.asarray(A, dtype=float)
-    with np.errstate(invalid="ignore"):  # 0 * inf is nan, and nan > floor is False
+    # 0 * inf is nan, and nan > floor is False; an overflowing product is
+    # inf, which is live
+    with np.errstate(invalid="ignore", over="ignore"):
         return A * np.asarray(upper, dtype=float) > np.asarray(floor, dtype=float)[:, None]
 
 
@@ -174,16 +201,17 @@ def max_linear_apply_batch(A, Z, upper, floor) -> np.ndarray:
     # too. A row's live columns pass through one buffer a block at a time,
     # so no temporary's size depends on how many entries are live.
     Zt = Z.T
-    block = max(1, BLOCK_ELEMENTS // max(Z.shape[0], 1))
+    block = _block_width(Z.shape[0])
     buf = np.empty((block, Z.shape[0]))
     out[:] = floor
-    for i in range(A.shape[0]):
-        cols = np.flatnonzero(live[i])
-        for start in range(0, cols.size, block):
-            part = cols[start : start + block]
-            terms = np.take(Zt, part, axis=0, out=buf[: part.size], mode="clip")
-            terms *= A[i, part][:, None]
-            np.maximum(out[:, i], terms.max(axis=0), out=out[:, i])
+    with np.errstate(over="ignore"):  # a product past float64 is an inf result
+        for i in range(A.shape[0]):
+            cols = np.flatnonzero(live[i])
+            for start in range(0, cols.size, block):
+                part = cols[start : start + block]
+                terms = np.take(Zt, part, axis=0, out=buf[: part.size], mode="clip")
+                terms *= A[i, part][:, None]
+                np.maximum(out[:, i], terms.max(axis=0), out=out[:, i])
     return out
 
 

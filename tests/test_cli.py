@@ -189,6 +189,19 @@ def test_reports_refuse_non_finite_numbers(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_overflowing_products_print_one_error_line(tmp_path, capsys):
+    # the window of the test above: the products of the prediction map
+    # overflowed and printed two RuntimeWarnings before the error line
+    # about its infinite horizon
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"phi": [0.5], "theta": [1e306], "p": 20, "n_observed": 5, "N_horizon": 3}
+    ))
+    assert main(["marma", "--spec", str(spec_path), "--num", "20"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_rel_tol_of_one_exits_nonzero(model_files, capsys):
     model_path, obs_path = model_files
     assert main(["sample", "--model", model_path, "--obs", obs_path, "--rel-tol", "1"]) == 1

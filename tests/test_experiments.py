@@ -183,6 +183,7 @@ def test_bench_decomposition_smoke():
     assert len(cells) == 2
     for cell in cells:
         assert cell["mean_seconds"] >= 0.0
+        assert cell["minor_faults_per_call"] >= 0.0
         assert cell["p"] == 100
     with pytest.raises(ValueError):
         bench_decomposition(n_list=(1,), p_list=(123,), draws=1)

@@ -1,18 +1,33 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxlinear import (
+    DimensionMismatchError,
     EmptyScenarioClassError,
     InconsistentObservationError,
+    MaxLinearError,
+    MaxLinearModel,
+    NegativeEntryError,
     NumericalOverflowError,
+    ZeroColumnError,
+    ZeroRowError,
     conditional_law,
     hitting_structure,
     standard_frechet,
     validate_model,
 )
-from maxlinear.hitting import compute_hitting_matrix, compute_upper_bounds, decompose
+from maxlinear.experiments import _bench_design
+from maxlinear.hitting import (
+    _decompose_checked,
+    compute_hitting_matrix,
+    compute_upper_bounds,
+    decompose,
+)
+from maxlinear.model import BLOCK_ELEMENTS, validate_observations
 from maxlinear.sampler import PredictionTask, run_prediction
 
 TRIL3 = np.tril(np.ones((3, 3)))
@@ -193,3 +208,187 @@ def test_structure_invariants(seed):
     for j in range(p):
         hit_rows = np.flatnonzero(s.H[:, j])
         assert len(set(row_class[hit_rows])) == 1
+
+
+# --- the blocked pass against the whole-matrix formulas ----------------------
+
+def _reference_checks(A):
+    """validate_model's checks of A, on the whole matrix; A if it passes."""
+    if not (A.min() >= 0.0 and A.max() < np.inf):
+        bad = np.flatnonzero(~((A >= 0.0) & (A < np.inf)).all(axis=0))
+        raise NegativeEntryError(f"A has negative or non-finite entries in columns {bad.tolist()}")
+    pos = A > 0
+    rows = np.flatnonzero(~pos.any(axis=1))
+    if rows.size:
+        raise ZeroRowError(f"rows with no positive entry: {rows.tolist()}")
+    cols = np.flatnonzero(~pos.any(axis=0))
+    if cols.size:
+        raise ZeroColumnError(f"columns with no positive entry: {cols.tolist()}")
+    return A
+
+
+def _reference_bounds(A, x):
+    """zhat as one n x p expression, after the checks of A and of x."""
+    _reference_checks(A)
+    x = validate_observations(x, A.shape[0])
+    with np.errstate(divide="ignore", over="ignore"):
+        z_hat = np.where(A > 0, x[:, None] / A, np.inf).min(axis=0)
+    over = np.flatnonzero(z_hat == np.inf)
+    if over.size:
+        raise NumericalOverflowError(
+            f"upper bound of column {over[0]} overflows float64: every "
+            f"x_i / a_ij of that column exceeds {np.finfo(float).max:.3g}"
+        )
+    return x, z_hat
+
+
+def _reference_hits(A, x, z_hat, rel_tol):
+    """H as one n x p expression."""
+    if not (isinstance(rel_tol, float) and 0.0 <= rel_tol < 1.0):
+        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
+    H = (A > 0) & (np.abs(A * z_hat - x[:, None]) <= rel_tol * x[:, None])
+    bad = np.flatnonzero(~H.any(axis=1))
+    if bad.size:
+        raise InconsistentObservationError(
+            f"no factor can reproduce observation rows {bad.tolist()}; "
+            "x is outside the model range (within tolerance)"
+        )
+    return H
+
+
+def _reference_structure(A, x, rel_tol):
+    x, z_hat = _reference_bounds(A, x)
+    return _decompose_checked(_reference_hits(A, x, z_hat, rel_tol), z_hat)
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type and message of its error."""
+    try:
+        return call()
+    except (MaxLinearError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return got == want
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
+    return (
+        got.rank == want.rank
+        and np.array_equal(got.z_hat, want.z_hat)
+        and np.array_equal(got.H, want.H)
+        and all(
+            np.array_equal(g, w)
+            for name in ("classes", "J", "J_bar")
+            for g, w in zip(getattr(got, name), getattr(want, name))
+        )
+    )
+
+
+A_FAULTS = [None, "nan", "inf", "-inf", "negative", "zero_row", "zero_column",
+            "overflow", "inconsistent", "signed_zeros"]
+# a clean x and a valid rel_tol are drawn more often, so that the faults
+# of A and the pass's own faults are reached too
+X_FAULTS = [None] * 4 + ["nan", "zero", "size"]
+REL_TOLS = [1e-9] * 4 + [0.0, 1e-3, 1.0, np.nan]
+
+
+def _pass_instance(seed, n, blocks, side, fault, x_fault):
+    """A sparse n x p design whose p spans ``blocks`` (two or more)
+    blocks of the pass, a model-generated x, and one fault of each. The
+    faulty column sits just before (side 0) or at (side 1) a block edge."""
+    gen = np.random.default_rng(seed)
+    width = BLOCK_ELEMENTS // n
+    p = int(gen.integers((blocks - 1) * width + 1, blocks * width + 1))
+    A = gen.random((n, p)) * (gen.random((n, p)) < 0.7)
+    A[gen.integers(n, size=p), np.arange(p)] += 0.1  # every column positive
+    A[np.arange(n), gen.integers(p, size=n)] += 0.1  # every row positive
+    x = (A * (1.0 / -np.log(gen.random(p)))).max(axis=1)
+    row = int(gen.integers(n))
+    col = width * int(gen.integers(1, blocks)) - 1 + side
+    if fault in ("nan", "inf", "-inf", "negative"):
+        A[row, col] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -0.5}[fault]
+    elif fault == "zero_row":
+        A[row] = 0.0
+    elif fault == "zero_column":
+        A[:, col] = 0.0
+    elif fault == "overflow":  # x_i / a_ij is beyond the float64 range
+        A[:, col] = 0.0
+        A[row, col] = 5e-324
+    elif fault == "inconsistent":
+        x[row] *= 0.5
+    elif fault == "signed_zeros":  # -0.0 passes as nonnegative, not positive
+        A[A == 0.0] = -0.0
+    if x_fault == "nan":
+        x[0] = np.nan
+    elif x_fault == "zero":
+        x[-1] = 0.0
+    elif x_fault == "size":
+        x = x[:-1]
+    return A, x
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    blocks=st.integers(2, 3),
+    side=st.integers(0, 1),
+    fault=st.sampled_from(A_FAULTS),
+    x_fault=st.sampled_from(X_FAULTS),
+    rel_tol=st.sampled_from(REL_TOLS),
+)
+# a NaN on either side of the first block edge; an overflow with a bad x;
+# a zero row with a bad rel_tol; exact hits only
+@example(seed=1, n=50, blocks=3, side=0, fault="nan", x_fault=None, rel_tol=1e-9)
+@example(seed=1, n=50, blocks=3, side=1, fault="nan", x_fault=None, rel_tol=1e-9)
+@example(seed=2, n=7, blocks=2, side=1, fault="overflow", x_fault="size", rel_tol=1e-9)
+@example(seed=3, n=7, blocks=2, side=0, fault="overflow", x_fault=None, rel_tol=1e-9)
+@example(seed=4, n=3, blocks=2, side=0, fault="zero_row", x_fault=None, rel_tol=1.0)
+@example(seed=5, n=20, blocks=3, side=1, fault=None, x_fault=None, rel_tol=0.0)
+@settings(max_examples=300, deadline=None)
+def test_blocked_pass_matches_the_whole_matrix_formulas(
+    seed, n, blocks, side, fault, x_fault, rel_tol
+):
+    # hitting_structure checks an unchecked A (as run_prediction hands it
+    # over) in its one pass: zhat, H, the classes and J, or the error type
+    # and message, equal those of validate_model followed by the formulas
+    # the pass replaced, and so does validate_model on its own
+    A, x = _pass_instance(seed, n, blocks, side, fault, x_fault)
+    margins = (standard_frechet(1.0),) * A.shape[1]
+    model = MaxLinearModel(A=A, margins=margins)
+    want = _outcome(lambda: _reference_structure(A, x, rel_tol))
+    assert _same(_outcome(lambda: hitting_structure(model, x, rel_tol)), want), want
+    checks = _outcome(lambda: _reference_checks(A))
+    assert _same(_outcome(lambda: validate_model(A, margins).A), checks)
+    if isinstance(checks, np.ndarray):
+        # the public stages, on a checked A
+        bounds = _outcome(lambda: _reference_bounds(A, x)[1])
+        assert _same(_outcome(lambda: compute_upper_bounds(model, x)), bounds)
+        if isinstance(bounds, np.ndarray):
+            hits = _outcome(lambda: _reference_hits(A, validate_observations(x, n), bounds, rel_tol))
+            got = _outcome(lambda: compute_hitting_matrix(model, x, bounds, rel_tol))
+            assert _same(got, hits)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_the_pass_reports_an_empty_A_before_a_bad_x(shape):
+    model = MaxLinearModel(A=np.ones(shape), margins=())
+    for x in (np.ones(shape[0]), [np.nan]):
+        with pytest.raises(DimensionMismatchError, match="no rows or no columns"):
+            hitting_structure(model, x)
+
+
+def test_hitting_structure_makes_no_n_by_p_float_temporary():
+    # the (50, 10000) cell of criterion 8: one n x p float temporary is
+    # 3.8 MiB, and the whole-matrix formulas peaked at 8.2 MiB
+    gen = np.random.default_rng((0, 50, 10000))
+    model = _bench_design(50, 10000, gen)
+    x = (model.A * (1.0 / -np.log(gen.random(10000)))).max(axis=1)
+    tracemalloc.start()
+    try:
+        hitting_structure(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

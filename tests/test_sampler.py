@@ -14,6 +14,7 @@ from maxlinear import (
     MarginCountMismatchError,
     MarginSpec,
     NegativeEntryError,
+    NumericalOverflowError,
     RngStream,
     SmithSpec,
     TabulatedContinuous,
@@ -735,6 +736,21 @@ def test_run_prediction_names_a_non_numeric_A():
             A={"a": 1}, B=np.ones((2, 2)), margins=(standard_frechet(1.0),) * 2,
             x=np.array([1.0]), num_samples=1, seed=0,
         ))
+
+
+@pytest.mark.parametrize("B, row", [
+    ([[1e300, 1.0]], 0),
+    ([[1.0, 1.0], [1e300, 1.0]], 1),
+])
+def test_an_overflowing_prediction_is_an_explicit_error(B, row):
+    # zhat = 1e10, so b * z passes the float64 range; Y came out as
+    # [2.4e299, inf, inf] with only RuntimeWarnings from the products
+    task = PredictionTask(
+        A=np.ones((1, 2)), B=np.array(B), margins=(standard_frechet(1.0),) * 2,
+        x=np.array([1e10]), num_samples=3, seed=0,
+    )
+    with pytest.raises(NumericalOverflowError, match=f"^prediction row {row} of B overflows"):
+        run_prediction(task)
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
