@@ -165,8 +165,9 @@ def coverage_experiment(
     width (that quantile minus the smallest sampled value).
     """
     N = spec.N_horizon
-    covered = np.zeros(N)
-    widths = np.zeros(N)
+    # arrays from the first repetition on: the generator checks the
+    # design's size only then, and an unchecked N could be 10**12
+    covered = widths = 0.0
     for _, y_true, Y in _marma_predictions(spec, reps, num_samples, seed):
         srt = np.sort(Y, axis=0)
         upper = order_statistic_quantile(srt, COVERAGE_LEVEL)
@@ -198,8 +199,7 @@ def projection_bias_experiment(
     """
     require_pure_mar(spec)
     N = spec.N_horizon
-    cumulative = np.zeros(N)
-    below_median = np.zeros(N)
+    cumulative = below_median = 0.0  # arrays from the first repetition on
     for x_obs, _, Y in _marma_predictions(spec, reps, num_samples, seed):
         x_hat = projection_predictor(spec.phi, x_obs, N)
         cumulative += (Y <= x_hat).mean(axis=0)

@@ -176,12 +176,19 @@ def decompose(H, z_hat) -> HittingStructure:
     """Split rows into connected classes and columns into their J-sets.
 
     Two rows are related when some column hits both; classes are the
-    transitive closure, computed with union-find over the (few) columns
-    carrying more than one hit. Everything else is columnwise
-    reductions of H plus one scan of the column labels per class.
+    transitive closure, computed with a union-find over the hits of the
+    (few) columns carrying more than one hit, taken from one
+    ``np.nonzero``. With no such column every row is its own class.
+    Otherwise one pass over the rows groups them under their roots, so
+    the classes come in the order of their smallest rows (each root is
+    also its class's smallest row). Each column belongs to the class of
+    its first hit row, J_bar[s] is one scan of those labels per class,
+    and J[s] keeps the columns whose hit count equals the size of class s.
 
     Raises
     ------
+    ValueError
+        if H is empty or has an empty row or column.
     EmptyScenarioClassError
         if some class has no column hitting all of its rows. On
         model-generated data this is a probability-zero event; it
@@ -211,54 +218,37 @@ def _decompose_checked(H: np.ndarray, z_hat: np.ndarray) -> HittingStructure:
             parent[a], a = root, parent[a]
         return root
 
-    merged = False
-    if n > 1:
-        # only columns with two or more hits can merge row classes
-        for c in np.flatnonzero(col_count >= 2):
-            hit_rows = np.flatnonzero(H[:, c])
-            ra = find(int(hit_rows[0]))
-            for b in hit_rows[1:]:
-                rb = find(int(b))
-                if ra != rb:
-                    lo, hi = min(ra, rb), max(ra, rb)
-                    parent[hi] = lo
-                    ra = lo
-                    merged = True
-
-    if merged:
-        # label classes by first appearance; roots are minimal in class,
-        # so labels are ordered by smallest row index
-        label_of_root: dict[int, int] = {}
-        labels = [0] * n
-        groups: list[list[int]] = []
+    # only columns with two or more hits can merge row classes
+    merge = np.flatnonzero(col_count >= 2)
+    if merge.size:
+        # the hits of the merge columns, column by column, rows ascending
+        cols, rows = np.nonzero(H[:, merge].T)
+        last = -1
+        for c, b in zip(cols.tolist(), rows.tolist()):
+            rb = find(b)
+            if c != last:  # the first hit of a column
+                last, ra = c, rb
+            elif ra != rb:
+                lo, hi = min(ra, rb), max(ra, rb)
+                parent[hi] = lo
+                ra = lo
+        groups: dict[int, list[int]] = {}
         for i in range(n):
-            r = find(i)
-            s = label_of_root.get(r)
-            if s is None:
-                s = len(label_of_root)
-                label_of_root[r] = s
-                groups.append([])
-            labels[i] = s
-            groups[s].append(i)
-        rank = len(groups)
-        row_class = np.array(labels, dtype=np.intp)
-        classes = tuple(np.array(g, dtype=np.intp) for g in groups)
+            groups.setdefault(find(i), []).append(i)
+        classes = tuple(np.array(g, dtype=np.intp) for g in groups.values())
+        row_class = np.empty(n, dtype=np.intp)
+        for s, members in enumerate(classes):
+            row_class[members] = s
     else:
         row_class = parent  # every row is its own class
-        rank = n
         classes = tuple(parent[i : i + 1] for i in range(n))
+    rank = len(classes)
 
     col_class = row_class[H.argmax(axis=0)]
     class_size = np.bincount(row_class, minlength=rank)
     full = col_count == class_size[col_class]
-    J_bar = []
-    J = []
-    for s in range(rank):
-        members = np.flatnonzero(col_class == s)
-        J_bar.append(members)
-        J.append(members[full[members]])
-    J_bar = tuple(J_bar)
-    J = tuple(J)
+    J_bar = tuple(np.flatnonzero(col_class == s) for s in range(rank))
+    J = tuple(members[full[members]] for members in J_bar)
     empty = [s for s in range(rank) if J[s].size == 0]
     if empty:
         raise EmptyScenarioClassError(

@@ -18,12 +18,26 @@ import numpy as np
 
 from .errors import (
     NonStationaryError, NotPureMarError, NumericalOverflowError, _check_design_size,
-    _convert_fields, _finite, _from_json, _integer, _to_json,
+    _convert_fields, _converted, _finite, _from_json, _integer, _to_json,
 )
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(_finite(v) for v in values)
+def _nonnegative(values) -> tuple[float, ...]:
+    values = tuple(_finite(v) for v in values)
+    if any(v < 0 for v in values):
+        raise ValueError(f"must be nonnegative, got {min(values)}")
+    return values
+
+
+def _checked_coefficients(phi, theta) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``(phi, theta)`` as tuples of floats, under the one rule for MARMA
+    coefficients: every entry finite and nonnegative, else a ValueError
+    naming the field, and max(phi) < 1, else a NonStationaryError."""
+    phi = _converted("phi", _nonnegative, phi)
+    theta = _converted("theta", _nonnegative, theta)
+    if phi and max(phi) >= 1.0:
+        raise NonStationaryError(f"max(phi) = {max(phi)} >= 1: no stationary solution")
+    return phi, theta
 
 
 @dataclass(frozen=True)
@@ -32,7 +46,8 @@ class MarmaSpec:
 
     Innovations are fixed to standard 1-Frechet. The constructor converts
     each field to its type, so a spec file takes the values code does; a
-    NaN or infinite ``phi`` or ``theta`` entry is a ValueError naming it.
+    NaN, infinite or negative ``phi`` or ``theta`` entry is a ValueError
+    naming the field, as in :func:`marma_coefficients`.
     """
 
     phi: tuple[float, ...]
@@ -44,17 +59,14 @@ class MarmaSpec:
     _json_tag = {}  # a spec file holds the fields alone
 
     def __post_init__(self):
+        phi, theta = _checked_coefficients(self.phi, self.theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "theta", theta)
         _convert_fields(
-            self, phi=_floats, theta=_floats, p=lambda v: _integer("p", v, 0),
+            self, p=lambda v: _integer("p", v, 0),
             n_observed=lambda v: _integer("n_observed", v, 1),
             N_horizon=lambda v: _integer("N_horizon", v, 1),
         )
-        if any(v < 0 for v in self.phi) or any(v < 0 for v in self.theta):
-            raise ValueError("phi and theta must be nonnegative")
-        if self.phi and max(self.phi) >= 1.0:
-            raise NonStationaryError(
-                f"max(phi) = {max(self.phi)} >= 1: no stationary solution"
-            )
         if self.p < len(self.phi) + len(self.theta):
             raise ValueError("truncation p must be at least m + q")
 
@@ -69,11 +81,11 @@ def marma_coefficients(phi, theta, p: int) -> np.ndarray:
     alpha_0 = 1, alpha_j = max_i phi_i * alpha_{j-i} (zero for j < 0);
     psi_j = max over k <= min(j, q) of alpha_{j-k} * theta_k, with
     theta_0 = 1 (the unit coefficient on the current innovation).
+    ``phi`` and ``theta`` follow the rule of :class:`MarmaSpec`, and ``p``
+    is an integer >= 0 (else ValueError).
     """
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if phi.size and phi.max() >= 1.0:
-        raise NonStationaryError(f"max(phi) = {phi.max()} >= 1")
+    phi, theta = map(np.array, _checked_coefficients(phi, theta))
+    p = _integer("p", p, 0)
     _check_design_size(1, p + 1, f"p={p}: psi")
     alpha = np.zeros(p + 1)
     alpha[0] = 1.0
@@ -101,9 +113,9 @@ def marma_truncation_quality(phi, theta, p: int) -> float:
     alpha_j <= phi_star^ceil(j/m); the bound is
     1 - tail_majorant / prefix_sum.
     """
+    psi = marma_coefficients(phi, theta, p)  # checks phi, theta and p
     phi = np.asarray(phi, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    psi = marma_coefficients(phi, theta, p)
     prefix = float(psi.sum())  # Python floats: a tail beyond their range is inf
     phi_star = float(phi.max()) if phi.size else 0.0
     if phi_star == 0.0:
@@ -124,8 +136,10 @@ def marma_design(psi, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
 
     The stacked (n+N) x (p+n+N) matrix has psi_p..psi_0 on each row,
     shifted right by one per row; A is the first n rows, B the rest.
+    ``n`` is an integer >= 1 and ``N`` one >= 0 (else ValueError).
     """
     psi = np.asarray(psi, dtype=float)
+    n, N = _integer("n", n, 1), _integer("N", N, 0)
     p = psi.size - 1
     total_cols = p + n + N
     _check_design_size(n + N, total_cols)
@@ -141,8 +155,9 @@ def projection_predictor(phi, observed, N: int) -> np.ndarray:
 
     Defined for pure max-autoregressive models (q = 0); each step takes
     the max of phi_i times the i-th previous (predicted or observed)
-    value.
+    value. ``N`` is an integer >= 0 (else ValueError).
     """
+    N = _integer("N", N, 0)
     phi = np.asarray(phi, dtype=float)
     observed = np.asarray(observed, dtype=float)
     m = phi.size
@@ -161,11 +176,11 @@ def projection_predictor(phi, observed, N: int) -> np.ndarray:
 def simulate_marma_window(
     psi, n: int, N: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate one truncated path: returns (Z, x_observed, y_future)."""
-    psi = np.asarray(psi, dtype=float)
-    p = psi.size - 1
-    Z = 1.0 / -np.log(gen.random(p + n + N))  # standard 1-Frechet
+    """Simulate one truncated path: returns (Z, x_observed, y_future).
+
+    The counts follow :func:`marma_design`."""
     A, B = marma_design(psi, n, N)
+    Z = 1.0 / -np.log(gen.random(A.shape[1]))  # standard 1-Frechet
     # a path beyond the float range holds inf; conditioning rejects it in x
     with np.errstate(over="ignore"):
         return Z, (A * Z).max(axis=1), (B * Z).max(axis=1)

@@ -37,9 +37,16 @@ BLOCK_ELEMENTS = 2**15
 
 @dataclass(frozen=True)
 class MaxLinearModel:
-    """Validated max-linear model: n x p coefficient matrix plus p margins.
+    """Max-linear model: n x p coefficient matrix plus p margins.
 
-    Immutable after construction; safe to share across threads.
+    The constructor checks nothing and keeps ``A`` as given.
+    :func:`validate_model` checks ``A`` and the margin count and builds
+    the model on a read-only copy of ``A``, so that model is immutable
+    and safe to share across threads. ``run_prediction`` builds its model
+    unchecked from the caller's array (or its conditioned columns), and
+    :func:`~maxlinear.hitting.hitting_structure` checks that ``A`` as
+    ``validate_model`` does, in its one pass; the caller must not change
+    the array while the request runs.
     """
 
     A: np.ndarray

@@ -141,9 +141,12 @@ def draw_conditional_batch(
 
     Returns (Z, chosen) with shapes (num, p) and (num, rank); Z is
     column-major (``Z.T`` is C-contiguous), one contiguous column per
-    factor. ``num`` must be an integer >= 1 (else ValueError).
+    factor. ``num`` must be an integer >= 1 (else ValueError), and one for
+    which ``Z`` would hold more than MAX_DESIGN_ENTRIES entries is a
+    DimensionOverflowError, raised before anything is allocated.
     """
     num = _integer("num", num, 1)
+    _check_design_size(num, law.z_hat.size, f"num={num}: Z")
     gen = _as_generator(rng)
     cols, starts = _joined(law.structure.J)
     last = np.append(starts[1:], cols.size) - 1

@@ -105,6 +105,12 @@ def test_coverage_experiment_smoke():
     assert out["coverage"].shape == (5,)
     assert np.all((out["coverage"] >= 0) & (out["coverage"] <= 1))
     assert np.all(out["width"] > 0)
+    # a horizon of 10**12 was a NumPy MemoryError from the accumulators,
+    # allocated before the design's size check
+    huge = MarmaSpec(phi=(0.5,), p=60, n_observed=20, N_horizon=10**12)
+    for experiment in (coverage_experiment, projection_bias_experiment):
+        with pytest.raises(DimensionOverflowError):
+            experiment(huge, reps=1, num_samples=80, seed=2)
 
 
 def test_projection_bias_experiment_smoke():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maxlinear import (
     DimensionMismatchError,
     EmptyScenarioClassError,
+    HittingStructure,
     InconsistentObservationError,
     MaxLinearError,
     MaxLinearModel,
@@ -135,6 +136,8 @@ def test_decompose_single_class():
 
 
 def test_decompose_rejects_invalid_matrix():
+    with pytest.raises(ValueError, match="empty$"):
+        decompose(np.zeros((0, 3), dtype=bool), np.ones(3))
     with pytest.raises(ValueError):
         decompose(np.zeros((2, 2), dtype=bool), np.ones(2))
     with pytest.raises(ValueError):
@@ -147,6 +150,139 @@ def test_decompose_empty_class_detection():
     H = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
     with pytest.raises(EmptyScenarioClassError):
         decompose(H, np.ones(3))
+
+
+def _union_find_oracle(H: np.ndarray, z_hat: np.ndarray) -> HittingStructure:
+    """The decomposition as the library computed it before its one-pass
+    grouping, kept verbatim as the reference; assumes H is boolean with no
+    empty row/column."""
+    n, p = H.shape
+    col_count = H.sum(axis=0)
+
+    parent = np.arange(n)
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:  # path compression
+            parent[a], a = root, parent[a]
+        return root
+
+    merged = False
+    if n > 1:
+        # only columns with two or more hits can merge row classes
+        for c in np.flatnonzero(col_count >= 2):
+            hit_rows = np.flatnonzero(H[:, c])
+            ra = find(int(hit_rows[0]))
+            for b in hit_rows[1:]:
+                rb = find(int(b))
+                if ra != rb:
+                    lo, hi = min(ra, rb), max(ra, rb)
+                    parent[hi] = lo
+                    ra = lo
+                    merged = True
+
+    if merged:
+        # label classes by first appearance; roots are minimal in class,
+        # so labels are ordered by smallest row index
+        label_of_root: dict[int, int] = {}
+        labels = [0] * n
+        groups: list[list[int]] = []
+        for i in range(n):
+            r = find(i)
+            s = label_of_root.get(r)
+            if s is None:
+                s = len(label_of_root)
+                label_of_root[r] = s
+                groups.append([])
+            labels[i] = s
+            groups[s].append(i)
+        rank = len(groups)
+        row_class = np.array(labels, dtype=np.intp)
+        classes = tuple(np.array(g, dtype=np.intp) for g in groups)
+    else:
+        row_class = parent  # every row is its own class
+        rank = n
+        classes = tuple(parent[i : i + 1] for i in range(n))
+
+    col_class = row_class[H.argmax(axis=0)]
+    class_size = np.bincount(row_class, minlength=rank)
+    full = col_count == class_size[col_class]
+    J_bar = []
+    J = []
+    for s in range(rank):
+        members = np.flatnonzero(col_class == s)
+        J_bar.append(members)
+        J.append(members[full[members]])
+    J_bar = tuple(J_bar)
+    J = tuple(J)
+    empty = [s for s in range(rank) if J[s].size == 0]
+    if empty:
+        raise EmptyScenarioClassError(
+            f"classes {empty} have no column hitting all their rows; "
+            "retry with adjusted rel_tol or check the observation"
+        )
+    return HittingStructure(
+        z_hat=z_hat, H=H, classes=classes, J=J, J_bar=J_bar, rank=rank
+    )
+
+
+def _covered(H, gen):
+    """``H`` with one hit added to each empty row and each empty column."""
+    n, p = H.shape
+    for i in np.flatnonzero(~H.any(axis=1)):
+        H[i, gen.integers(p)] = True
+    for j in np.flatnonzero(~H.any(axis=0)):
+        H[gen.integers(n), j] = True
+    return H
+
+
+def _decomposition_input(kind, seed, n, p, density):
+    """A hitting matrix with no empty row or column: ``random`` hits;
+    a ``band`` of hits chained along the rows, as in a MARMA window, which
+    makes most columns merge columns; or random hits beside a ``cycle`` of
+    three or more rows joined pairwise, a class that no column fully hits,
+    with the rows and columns shuffled."""
+    gen = np.random.default_rng(seed)
+    if kind == "band":
+        width = 1 + p % 6
+        H = np.zeros((n, n + width - 1), dtype=bool)
+        for i in range(n):
+            H[i, i : i + width] = gen.random(width) < 0.3 + density
+        return _covered(H, gen)
+    H = _covered(gen.random((n, p)) < density, gen)
+    if kind == "cycle":
+        k = 3 + n % 4
+        chain = np.eye(k, dtype=bool) | np.eye(k, k=-1, dtype=bool)
+        H = np.block([[H, np.zeros((n, k), dtype=bool)], [np.zeros((k, p), dtype=bool), chain]])
+        H[n, -1] = True  # closes the cycle: column k - 1 hits rows k - 1 and 0
+        H = H[gen.permutation(n + k)][:, gen.permutation(p + k)]
+    return H
+
+
+@given(
+    kind=st.sampled_from(["random", "band", "cycle"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 15),
+    p=st.integers(1, 20),
+    density=st.floats(0.02, 0.6),
+)
+@settings(max_examples=400, deadline=None)
+def test_decomposition_matches_the_union_find_oracle(kind, seed, n, p, density):
+    H = _decomposition_input(kind, seed, n, p, density)
+    z_hat = np.ones(H.shape[1])
+    got = _outcome(lambda: _decompose_checked(H, z_hat))
+    want = _outcome(lambda: _union_find_oracle(H, z_hat))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.rank == want.rank
+    for name in ("classes", "J", "J_bar"):
+        sets = getattr(got, name)
+        assert len(sets) == got.rank
+        for g, w in zip(sets, getattr(want, name)):
+            assert g.dtype == np.intp and np.array_equal(g, w)
 
 
 def _random_instance(seed):

@@ -161,6 +161,8 @@ def test_tabulated_rejects_unnormalized():
 
 
 def test_tabulated_rejects_bad_grid():
+    with pytest.raises(ValueError, match="equal length"):
+        TabulatedContinuous([0.0, 1.0, 2.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         TabulatedContinuous([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):

@@ -24,6 +24,8 @@ def test_spec_validation():
     assert spec.phi_star == 0.7
     with pytest.raises(NonStationaryError):
         MarmaSpec(phi=(1.0,))
+    with pytest.raises(NonStationaryError, match="no stationary solution"):
+        marma_coefficients((1.0,), (), 5)
     with pytest.raises(ValueError):
         MarmaSpec(phi=(-0.2,))
     with pytest.raises(ValueError):
@@ -38,6 +40,51 @@ def test_spec_validation():
             MarmaSpec(phi=(0.5, bad))
         with pytest.raises(ValueError, match="invalid 'theta': must be finite"):
             MarmaSpec(phi=(0.5,), theta=(bad,))
+
+
+@pytest.mark.parametrize(
+    "phi,theta,field,rule",
+    [
+        ((0.5, np.nan), (), "phi", "finite"),
+        ((0.5,), (np.nan,), "theta", "finite"),
+        ((0.5,), (np.inf,), "theta", "finite"),
+        ((0.5,), (-np.inf,), "theta", "finite"),
+        ((-0.5,), (), "phi", "nonnegative"),
+        ((0.5,), (-0.2,), "theta", "nonnegative"),
+    ],
+)
+def test_one_rule_for_the_coefficients(phi, theta, field, rule):
+    # the helpers took what the spec refused: NaN or inf ended in "the
+    # coefficients psi sum beyond the float64 range", a negative phi gave
+    # negative psi and a negative theta was dropped
+    for call in (
+        lambda: MarmaSpec(phi=phi, theta=theta),
+        lambda: marma_coefficients(phi, theta, 5),
+        lambda: marma_truncation_quality(phi, theta, 5),
+    ):
+        with pytest.raises(ValueError, match=f"^invalid '{field}': must be {rule}"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call,name,low",
+    [
+        (lambda v: marma_coefficients((0.5,), (), v), "p", 0),
+        (lambda v: marma_design(np.ones(3), v, 2), "n", 1),
+        (lambda v: marma_design(np.ones(3), 2, v), "N", 0),
+        (lambda v: simulate_marma_window(np.ones(3), v, 2, RngStream(0).generator()), "n", 1),
+        (lambda v: simulate_marma_window(np.ones(3), 2, v, RngStream(0).generator()), "N", 0),
+        (lambda v: projection_predictor((0.5,), np.ones(2), v), "N", 0),
+    ],
+    ids=["coefficients-p", "design-n", "design-N", "simulate-n", "simulate-N", "projection-N"],
+)
+def test_counts_are_checked_integers(call, name, low):
+    # 2.5 was a TypeError, p = -3 "negative dimensions are not allowed" and
+    # n = 0 or N = -1 an "inhomogeneous shape" error
+    for bad in (2.5, low - 1, "3", None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}"):
+            call(bad)
+    call(low)
 
 
 def test_mar3_coefficient_prefix():

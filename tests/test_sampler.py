@@ -308,6 +308,11 @@ def test_batch_determinism():
     Z1, c1 = draw_conditional_batch(law, 50, RngStream(77, 4))
     Z2, c2 = draw_conditional_batch(law, 50, RngStream(77, 4))
     assert np.array_equal(Z1, Z2) and np.array_equal(c1, c2)
+    # a NumPy Generator is taken as it is, here the one RngStream(77, 4) makes
+    Z3, c3 = draw_conditional_batch(law, 50, np.random.default_rng((77, 4)))
+    assert np.array_equal(Z1, Z3) and np.array_equal(c1, c3)
+    with pytest.raises(TypeError, match="expected RngStream or numpy Generator"):
+        draw_conditional_batch(law, 50, 77)
 
 
 def test_scenario_frequencies_match_weights():
@@ -624,10 +629,14 @@ def test_run_prediction_checks_its_size_before_drawing(monkeypatch):
         A=model.A, B=np.ones((4, 3)), margins=model.margins,
         x=np.array([1.0, 1.0, 3.0]), num_samples=10**9, seed=0,
     )
+    # the draw, which is public too, asked NumPy for 14.9 GiB
+    law = conditional_law(model, task.x)
     tracemalloc.start()
     try:
         with pytest.raises(DimensionOverflowError, match="num_samples"):
             run_prediction(task)
+        with pytest.raises(DimensionOverflowError, match="^num=10+: Z"):
+            draw_conditional_batch(law, 10**9, RngStream(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

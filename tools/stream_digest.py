@@ -7,6 +7,11 @@ requests 0-7 of seeds 1 and 2 through ``run_prediction`` of the library
 in ``CHECKOUT/src`` and prints the SHA-256 of the bytes of every ``Z``
 and of every ``Y``, in request order. Two checkouts whose lines are equal
 drew bit-identical samples and predictions on those requests.
+
+A second line per workload hashes each request's law: its rank, then
+the size and bytes of every array of its ``classes``, ``J``, ``J_bar`` and
+``weights``. ``J_bar`` never reaches ``Z`` or ``Y``, so only this line shows
+a change to it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ def main(argv=None) -> int:
         return 2
     for workload in WORKLOADS.values():
         design, _ = set_up(ml, workload)
-        z_hash, y_hash = hashlib.sha256(), hashlib.sha256()
+        z_hash, y_hash, law_hash = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
         for seed in SEEDS:
             for index in range(REQUESTS):
                 x, sample_seed = request_inputs(seed, workload, index, design)
@@ -48,7 +53,15 @@ def main(argv=None) -> int:
                 ))
                 z_hash.update(result.Z.tobytes())
                 y_hash.update(result.Y.tobytes())
+                law = result.law
+                law_hash.update(law.rank.to_bytes(8, "little"))
+                structure = law.structure
+                for sets in (structure.classes, structure.J, structure.J_bar, law.weights):
+                    for values in sets:
+                        law_hash.update(values.size.to_bytes(8, "little"))
+                        law_hash.update(values.tobytes())
         print(f"{workload.name:15s} Z {z_hash.hexdigest()}  Y {y_hash.hexdigest()}")
+        print(f"{workload.name:15s} law {law_hash.hexdigest()}")
     return 0
 
 
