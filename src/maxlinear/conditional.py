@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InconsistentObservationError
+from .errors import InconsistentObservationError, _at_column
 from .hitting import DEFAULT_REL_TOL, HittingStructure, hitting_structure
 from .margins import MarginSpec, _columnwise, margin_groups
 from .model import MaxLinearModel
@@ -68,9 +68,11 @@ def class_weights(
     lower = np.array([m.lower_end for m in groups[0]])[groups[1]]
     empty = np.flatnonzero(structure.z_hat <= lower)
     if empty.size:
-        raise InconsistentObservationError(
-            f"observation is inconsistent with the margins: column {empty[0]} "
-            f"has no mass below its bound zhat = {structure.z_hat[empty[0]]}"
+        raise _at_column(
+            InconsistentObservationError,
+            "observation is inconsistent with the margins: column {column} "
+            f"has no mass below its bound zhat = {structure.z_hat[empty[0]]}",
+            empty[0],
         )
     log_w, starts = _log_candidate_terms(structure, groups)
     top = np.maximum.reduceat(log_w, starts)

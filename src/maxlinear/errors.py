@@ -4,6 +4,7 @@ Every rejected input maps to exactly one error class; callers can catch
 ``MaxLinearError`` to handle anything raised by this package.
 """
 
+import contextlib
 import functools
 import inspect
 import numbers
@@ -17,6 +18,28 @@ MAX_DESIGN_ENTRIES = 200_000_000
 
 class MaxLinearError(Exception):
     """Base class for all maxlinear errors."""
+
+
+def _at_column(cls, template: str, column: int) -> MaxLinearError:
+    """A ``cls`` error about one column, with the message ``template``
+    naming ``column`` in its ``{column}`` field; the error keeps both, so
+    that :func:`_columns_of` can name that column in a larger matrix."""
+    exc = cls(template.format(column=column))
+    exc.template, exc.column = template, int(column)
+    return exc
+
+
+@contextlib.contextmanager
+def _columns_of(cols):
+    """Run a block on the columns ``cols`` of a matrix: an error of
+    :func:`_at_column` about column j there names column ``cols[j]``."""
+    try:
+        yield
+    except MaxLinearError as exc:
+        if hasattr(exc, "template"):
+            exc.column = int(cols[exc.column])
+            exc.args = (exc.template.format(column=exc.column),)
+        raise
 
 
 def _json_field(doc, key: str, what: str):

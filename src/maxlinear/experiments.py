@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import resource
 import time
 from dataclasses import dataclass
 
@@ -247,6 +246,8 @@ def bench_decomposition(
     Each cell keeps its own generator, so its inputs do not depend on the
     other cells.
     """
+    import resource  # Unix only, so not imported with the package
+
     draws, seed = _integer("draws", draws, 1), _integer("seed", seed, 0)
     cells = []
     for n, p in [(_integer("n", n, 1), _integer("p", p, 1)) for n in n_list for p in p_list]:

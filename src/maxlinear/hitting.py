@@ -24,12 +24,14 @@ from .errors import (
     InconsistentObservationError,
     MaxLinearError,
     NumericalOverflowError,
+    _at_column,
     _real,
 )
 from .model import (
     MaxLinearModel,
     _block_width,
     _check_model_matrix,
+    _matrix,
     validate_observations,
 )
 
@@ -94,9 +96,9 @@ def compute_hitting_matrix(
     return _bounds_and_hits(model.A, x, rel_tol, np.asarray(z_hat, dtype=float))[1]
 
 
-def _bounds_and_hits(A: np.ndarray, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
-    """``(z_hat, H)`` of the 2-d float ``A`` at the observation ``x``, in
-    one pass over the column blocks of ``A``.
+def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
+    """``(z_hat, H)`` of the coefficient matrix ``A`` at the observation
+    ``x``, in one pass over the column blocks of ``A``.
 
     A given ``z_hat`` is used as it is; with ``hits=False`` H is None.
     Per block, a min and a max (no temporary) check that the entries are
@@ -105,71 +107,70 @@ def _bounds_and_hits(A: np.ndarray, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits
     zero entry never hits. So a column with no positive entry leaves its
     zhat at inf and a row with none has no hit, and with both zhat and H
     formed a clean pass has met every condition of :func:`validate_model`.
-    Every fault (a bad entry, a bad ``x``, an infinite zhat, a bad
-    ``rel_tol``, a row with no hit) first runs that function's checks of
-    ``A``, which raise the first fault of ``A`` in its order; only a clean
-    ``A`` lets the pass's own fault through.
+    One handler catches every fault (a bad entry, a bad ``x``, an infinite
+    zhat, a bad ``rel_tol``, a row with no hit) and first runs that
+    function's checks of ``A``, which raise the first fault of ``A`` in its
+    order; only a clean ``A`` lets the pass's own fault through.
     """
-    n, p = A.shape
     try:
+        A = _matrix(A, "A")
+        n, p = A.shape
         x = validate_observations(x, n)
+        if A.size == 0:
+            _check_model_matrix(A)  # raises DimensionMismatchError
+        bounds = z_hat is None
+        if bounds:
+            z_hat = np.empty(p)
+        # at rel_tol >= 1 every a_ij * zhat_j <= x_i would count as a hit
+        tol_ok = _real(rel_tol) and 0.0 <= rel_tol < 1.0
+        H = np.empty((n, p), dtype=bool) if hits and tol_ok else None
+        xc = x[:, None]
+        tol = rel_tol * xc if H is not None else None
+        width = _block_width(n)
+        buf = np.empty((n, min(width, p)))
+        # x_i / 0 = inf bounds nothing; an overflowing zhat is reported below
+        with np.errstate(divide="ignore", over="ignore"):
+            for start in range(0, p, width):
+                block = A[:, start : start + width]
+                cols = slice(start, start + block.shape[1])
+                work = buf[:, : block.shape[1]]
+                # min >= 0 rejects NaN and negative values, max < inf rejects +inf
+                if not (block.min() >= 0.0 and block.max() < np.inf):
+                    _check_model_matrix(A)  # raises NegativeEntryError
+                if bounds:
+                    # the entries are >= 0, so abs only turns -0.0 into 0.0,
+                    # which keeps x_i / a_ij at +inf for every zero entry
+                    np.abs(block, out=work)
+                    np.divide(xc, work, out=work)
+                    z = work.min(axis=0, out=z_hat[cols])
+                    if z.max() == np.inf:  # an empty column, or an overflow
+                        raise _at_column(
+                            NumericalOverflowError,
+                            "upper bound of column {column} overflows float64: every "
+                            f"x_i / a_ij of that column exceeds {np.finfo(float).max:.3g}",
+                            start + int(np.argmax(z == np.inf)),
+                        )
+                if H is not None:
+                    # a zero entry has |0 - x_i| = x_i > rel_tol * x_i, so H
+                    # needs no mask: it is False wherever A is not positive
+                    np.multiply(block, z_hat[cols], out=work)
+                    np.subtract(work, xc, out=work)
+                    np.abs(work, out=work)
+                    np.less_equal(work, tol, out=H[:, cols])
+        if not hits:
+            return z_hat, None
+        if H is None:
+            raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
+        missed = ~H.any(axis=1)
+        if missed.any():  # an empty row, or x outside the model range
+            raise InconsistentObservationError(
+                f"no factor can reproduce observation rows {np.flatnonzero(missed).tolist()}; "
+                "x is outside the model range (within tolerance)"
+            )
+        return z_hat, H
     except (MaxLinearError, ValueError, TypeError):
         _check_model_matrix(A)  # a fault of A is reported first
         raise
-    if A.size == 0:
-        _check_model_matrix(A)  # raises DimensionMismatchError
-    bounds = z_hat is None
-    if bounds:
-        z_hat = np.empty(p)
-    # at rel_tol >= 1 every a_ij * zhat_j <= x_i would count as a hit
-    tol_ok = _real(rel_tol) and 0.0 <= rel_tol < 1.0
-    H = np.empty((n, p), dtype=bool) if hits and tol_ok else None
-    xc = x[:, None]
-    tol = rel_tol * xc if H is not None else None
-    width = _block_width(n)
-    buf = np.empty((n, min(width, p)))
-    # x_i / 0 = inf bounds nothing; an overflowing zhat is reported below
-    with np.errstate(divide="ignore", over="ignore"):
-        for start in range(0, p, width):
-            block = A[:, start : start + width]
-            cols = slice(start, start + block.shape[1])
-            work = buf[:, : block.shape[1]]
-            # min >= 0 rejects NaN and negative values, max < inf rejects +inf
-            if not (block.min() >= 0.0 and block.max() < np.inf):
-                _check_model_matrix(A)  # raises NegativeEntryError
-            if bounds:
-                # the entries are >= 0, so abs only turns -0.0 into 0.0,
-                # which keeps x_i / a_ij at +inf for every zero entry
-                np.abs(block, out=work)
-                np.divide(xc, work, out=work)
-                z = work.min(axis=0, out=z_hat[cols])
-                if z.max() == np.inf:  # an empty column, or an overflow
-                    _check_model_matrix(A)
-                    raise NumericalOverflowError(
-                        f"upper bound of column {start + int(np.argmax(z == np.inf))} "
-                        "overflows float64: every x_i / a_ij of that column exceeds "
-                        f"{np.finfo(float).max:.3g}"
-                    )
-            if H is not None:
-                # a zero entry has |0 - x_i| = x_i > rel_tol * x_i, so H
-                # needs no mask: it is False wherever A is not positive
-                np.multiply(block, z_hat[cols], out=work)
-                np.subtract(work, xc, out=work)
-                np.abs(work, out=work)
-                np.less_equal(work, tol, out=H[:, cols])
-    if not hits:
-        return z_hat, None
-    if H is None:
-        _check_model_matrix(A)
-        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
-    missed = ~H.any(axis=1)
-    if missed.any():  # an empty row, or x outside the model range
-        _check_model_matrix(A)
-        raise InconsistentObservationError(
-            f"no factor can reproduce observation rows {np.flatnonzero(missed).tolist()}; "
-            "x is outside the model range (within tolerance)"
-        )
-    return z_hat, H
 
 
 def decompose(H, z_hat) -> HittingStructure:

@@ -20,6 +20,7 @@ from .errors import (
     NonStationaryError, NotPureMarError, NumericalOverflowError, _check_design_size,
     _convert_fields, _converted, _finite, _from_json, _integer, _to_json,
 )
+from .model import validate_observations
 
 
 def _nonnegative(values) -> tuple[float, ...]:
@@ -155,11 +156,13 @@ def projection_predictor(phi, observed, N: int) -> np.ndarray:
 
     Defined for pure max-autoregressive models (q = 0); each step takes
     the max of phi_i times the i-th previous (predicted or observed)
-    value. ``N`` is an integer >= 0 (else ValueError).
+    value. ``phi`` follows the rule of :class:`MarmaSpec`, ``observed``
+    holds finite positive values and ``N`` is an integer >= 0 (else
+    ValueError).
     """
     N = _integer("N", N, 0)
-    phi = np.asarray(phi, dtype=float)
-    observed = np.asarray(observed, dtype=float)
+    phi = np.array(_checked_coefficients(phi, ())[0])
+    observed = validate_observations(observed, np.size(observed))
     m = phi.size
     if m == 0:
         return np.zeros(N)

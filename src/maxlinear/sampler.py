@@ -19,10 +19,11 @@ from .conditional import ConditionalLaw, _joined, conditional_law
 from .errors import (
     DimensionMismatchError,
     MarginCountMismatchError,
-    NegativeEntryError,
     NumericalOverflowError,
     ZeroMassBelowBoundError,
+    _at_column,
     _check_design_size,
+    _columns_of,
     _integer,
 )
 from .hitting import DEFAULT_REL_TOL
@@ -99,9 +100,10 @@ def _truncated_matrix(
     log_f = _columnwise((kinds, label), "log_cdf", bounds)
     empty = np.flatnonzero(log_f == -np.inf)
     if empty.size:
-        raise ZeroMassBelowBoundError(
-            f"no mass below bound {bounds[empty[0]]} of column {empty[0]}: "
-            "its log-CDF is -inf"
+        raise _at_column(
+            ZeroMassBelowBoundError,
+            f"no mass below bound {bounds[empty[0]]} of column {{column}}: its log-CDF is -inf",
+            empty[0],
         )
     hazard = -log_f[:, None]
     below = np.nextafter(bounds, 0.0)[:, None]
@@ -122,7 +124,9 @@ def _truncated_matrix(
         np.maximum(block, tiny, out=block)
         if np.isnan(block.max()):  # the clamps pass NaN through
             j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
-            raise ZeroMassBelowBoundError(f"quantile of column {j} is NaN below {bounds[j]}")
+            raise _at_column(
+                ZeroMassBelowBoundError, f"quantile of column {{column}} is NaN below {bounds[j]}", j
+            )
     return buf.T
 
 
@@ -229,27 +233,27 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     # hitting_structure checks the conditioned columns as validate_model
     # does, so the model takes them unchecked and with no further copy
     if free.size:
-        # a free column must be all zero; NaN != 0 is caught too
-        stray = free[(A[:, free] != 0).any(axis=0)]
-        if stray.size:
-            raise NegativeEntryError(f"A has negative or NaN entries in columns {stray.tolist()}")
+        check_coefficients(A, "A")  # the free columns too, numbered as in A
         model = MaxLinearModel(A=A[:, cond], margins=tuple(task.margins[j] for j in cond))
         B_cond = B[:, cond]
     else:  # every column observed: no sub-block copies
         model, B_cond = MaxLinearModel(A=A, margins=tuple(task.margins)), B
-    law = conditional_law(model, task.x, task.rel_tol)
-    Zc, _ = draw_conditional_batch(law, num, RngStream(seed, 0))
+    # an error about a column of the model names that column in A
+    with _columns_of(cond):
+        law = conditional_law(model, task.x, task.rel_tol)
+        Zc, _ = draw_conditional_batch(law, num, RngStream(seed, 0))
     if free.size:
         # column-major like Zc, so each column is copied or drawn contiguously;
         # a free factor is its margin truncated below +inf, i.e. untruncated
         Z = np.empty((A.shape[1], num)).T
         Z.T[cond] = Zc.T
-        Z.T[free] = _truncated_matrix(
-            [task.margins[j] for j in free],
-            np.full(free.size, np.inf),
-            RngStream(seed, 1).generator(),
-            num,
-        ).T
+        with _columns_of(free):
+            Z.T[free] = _truncated_matrix(
+                [task.margins[j] for j in free],
+                np.full(free.size, np.inf),
+                RngStream(seed, 1).generator(),
+                num,
+            ).T
     else:
         Z = Zc
     # free factors are unbounded

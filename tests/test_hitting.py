@@ -507,12 +507,39 @@ def test_blocked_pass_matches_the_whole_matrix_formulas(
             assert _same(got, hits)
 
 
+def _stages(model, x):
+    """The three public stages that run the pass, called on ``model``."""
+    return (
+        lambda: hitting_structure(model, x),
+        lambda: compute_upper_bounds(model, x),
+        lambda: compute_hitting_matrix(model, x, np.ones(np.shape(model.A)[-1:])),
+    )
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
 def test_the_pass_reports_an_empty_A_before_a_bad_x(shape):
     model = MaxLinearModel(A=np.ones(shape), margins=())
     for x in (np.ones(shape[0]), [np.nan]):
-        with pytest.raises(DimensionMismatchError, match="no rows or no columns"):
-            hitting_structure(model, x)
+        for stage in _stages(model, x):
+            with pytest.raises(DimensionMismatchError, match="no rows or no columns"):
+                stage()
+
+
+@pytest.mark.parametrize("A", [np.ones(3), np.ones((1, 1, 1)), [["a"]]])
+def test_the_pass_rejects_an_unchecked_A_as_validate_model_does(A):
+    # a 1-d A raised "not enough values to unpack", a 3-d one "too many"
+    want = _outcome(lambda: validate_model(A, ()))
+    assert want[0] in (DimensionMismatchError, ValueError)
+    for stage in _stages(MaxLinearModel(A=A, margins=()), [1.0]):
+        assert _outcome(stage) == want
+
+
+def test_the_pass_takes_the_list_A_that_validate_model_takes():
+    # it raised "'list' object has no attribute 'shape'"
+    A, margins = [[1.0, 0.5]], (standard_frechet(1.0),) * 2
+    unchecked = _stages(MaxLinearModel(A=A, margins=margins), [1.0])
+    for got, want in zip(unchecked, _stages(validate_model(A, margins), [1.0])):
+        assert _same(got(), want())
 
 
 def test_hitting_structure_makes_no_n_by_p_float_temporary():

@@ -179,6 +179,17 @@ def test_projection_predictor():
         projection_predictor(MAR3, np.array([1.0, 2.0]), 2)
 
 
+@pytest.mark.parametrize("phi, observed, error, match", [
+    ((np.nan,), [1.0], ValueError, "invalid 'phi': must be finite"),  # gave [nan, nan]
+    ((-0.5,), [1.0], ValueError, "invalid 'phi': must be nonnegative"),  # [-0.5, 0.25]
+    ((1.5,), [1.0], NonStationaryError, "no stationary solution"),  # [1.5, 2.25, ...]
+    ((0.5,), [np.nan, -3.0], ValueError, "finite and strictly positive"),  # [-1.5, -0.75]
+])
+def test_projection_predictor_follows_the_marma_rules(phi, observed, error, match):
+    with pytest.raises(error, match=match):
+        projection_predictor(phi, observed, 2)
+
+
 def test_projection_predictor_mar3():
     obs = np.array([1.0, 4.0, 2.0])
     preds = projection_predictor(MAR3, obs, 2)

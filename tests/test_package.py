@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PROBE = r"""
 import json, sys
+sys.modules["resource"] = None  # Unix only: an import of it fails, as on Windows
 import maxlinear, maxlinear.cli, maxlinear.oracles
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 unresolved = [n for n in maxlinear.__all__ if not hasattr(maxlinear, n)]
@@ -51,7 +52,8 @@ def test_import_surface(tmp_path):
         capture_output=True, text=True, check=True,
     )
     doc = json.loads(out.stdout)
-    # numpy is the only runtime dependency: the oracles need no scipy
+    # numpy is the only runtime dependency: the oracles need no scipy, and
+    # the package imports (the probe ran) without the resource module
     assert doc["loaded"] == []
     assert doc["size"] <= 50 and doc["unresolved"] == []
     # every span of the benchmark's tracer has an attribute to wrap; the

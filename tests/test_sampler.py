@@ -11,6 +11,7 @@ from scipy import integrate, stats
 from maxlinear import (
     DimensionMismatchError,
     Frechet,
+    InconsistentObservationError,
     MarginCountMismatchError,
     MarginSpec,
     NegativeEntryError,
@@ -712,8 +713,38 @@ def test_run_prediction_checks_free_columns_and_the_shape_of_A():
     A = np.array([[1.0, 0.0, np.nan]])
     with pytest.raises(NegativeEntryError, match=r"columns \[2\]"):
         run_prediction(dataclasses.replace(task, A=A, x=np.array([1.0])))
+    # a bad conditioned column behind a free one: "columns [1]" named its
+    # place in A[:, cond]
+    A = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
+    with pytest.raises(NegativeEntryError, match=r"columns \[2\]$"):
+        run_prediction(dataclasses.replace(task, A=A))
     with pytest.raises(DimensionMismatchError, match="2-d"):
         run_prediction(dataclasses.replace(task, A=np.ones(3), x=np.array([1.0])))
+
+
+@pytest.mark.parametrize("A, x, margins, error, match", [
+    # zhat_2 = 1e300 / 1e-300 passes the float64 range
+    ([[0.0, 1.0, 1e-300]], 1e300, (standard_frechet(1.0),) * 3,
+     NumericalOverflowError, "upper bound of column 2 "),
+    # zhat_2 = 1 lies below the support [2, 4] of its margin
+    ([[0.0, 1.0, 1.0]], 1.0, (standard_frechet(1.0),) * 2
+     + (TabulatedContinuous([2.0, 4.0], [0.5, 0.5]),),
+     InconsistentObservationError, "column 2 has no mass below"),
+    # log F(1e-80) = -1e320 is -inf at alpha = 4
+    ([[0.0, 1.0]], 1e-80, (Frechet(4.0),) * 2, ZeroMassBelowBoundError, "of column 1:"),
+    # the draw of the free columns 0 and 2
+    ([[0.0, 1.0, 0.0]], 1.0, (standard_frechet(1.0),) * 2 + (_FixedQuantile(np.nan),),
+     ZeroMassBelowBoundError, "quantile of column 2 "),
+], ids=["overflow", "below_support", "log_cdf", "free_draw"])
+def test_free_path_errors_name_the_column_of_A(A, x, margins, error, match):
+    # column 0 is free, so each faulty column sat one place lower in the
+    # conditioned (or free) columns, and the message named that place
+    task = PredictionTask(
+        A=np.array(A), B=np.ones((1, len(margins))), margins=margins,
+        x=np.array([x]), num_samples=5, seed=0,
+    )
+    with pytest.raises(error, match=match):
+        run_prediction(task)
 
 
 def test_margin_count_mismatch_is_one_error_class():
