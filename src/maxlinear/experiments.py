@@ -79,9 +79,12 @@ def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> Summar
         if np.isnan(thr).any():
             raise ValueError(f"threshold must not be NaN, got {threshold!r}")
         exceed = (samples > thr).mean(axis=0)
+    # each column scaled by a power of two into (-1, 1) for its mean, so a
+    # sum past the float64 range stays finite; exact unless a value underflows
+    _, e = np.frexp(np.maximum(-srt[0], srt[-1]))
     return SummaryTable(
         medians=order_statistic_quantile(srt, 0.5),
-        means=samples.mean(axis=0),
+        means=np.ldexp(np.ldexp(samples, -e).mean(axis=0), e),
         quantiles=quantiles,
         exceedance=exceed,
     )

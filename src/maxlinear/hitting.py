@@ -136,7 +136,8 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
                 work = buf[:, : block.shape[1]]
                 # min >= 0 rejects NaN and negative values, max < inf rejects +inf
                 if not (block.min() >= 0.0 and block.max() < np.inf):
-                    _check_model_matrix(A)  # raises NegativeEntryError
+                    # the handler's check names every bad column of A
+                    raise ValueError("A has a negative or non-finite entry")
                 if bounds:
                     # the entries are >= 0, so abs only turns -0.0 into 0.0,
                     # which keeps x_i / a_ij at +inf for every zero entry
@@ -209,7 +210,8 @@ def _decompose_checked(H: np.ndarray, z_hat: np.ndarray) -> HittingStructure:
     n, p = H.shape
     col_count = H.sum(axis=0)
 
-    parent = np.arange(n)
+    # a list: scalar reads and writes of a NumPy array cost most of the loop
+    parent = list(range(n))
 
     def find(a: int) -> int:
         root = a
@@ -241,8 +243,8 @@ def _decompose_checked(H: np.ndarray, z_hat: np.ndarray) -> HittingStructure:
         for s, members in enumerate(classes):
             row_class[members] = s
     else:
-        row_class = parent  # every row is its own class
-        classes = tuple(parent[i : i + 1] for i in range(n))
+        row_class = np.arange(n)  # every row is its own class
+        classes = tuple(row_class[i : i + 1] for i in range(n))
     rank = len(classes)
 
     col_class = row_class[H.argmax(axis=0)]

@@ -250,8 +250,9 @@ def margin_groups(margins: Sequence[MarginSpec]) -> tuple[tuple, np.ndarray]:
 
 def _columnwise(groups, method: str, values) -> np.ndarray:
     """``kinds[label[j]].<method>`` applied to ``values[..., j]`` for every j,
-    one vectorized call per kind, with ``(kinds, label) = groups``. A method
-    that works in place, like ``_hazard_quantile``, may overwrite ``values``."""
+    one vectorized call per kind that has a column there, with
+    ``(kinds, label) = groups``. A method that works in place, like
+    ``_hazard_quantile``, may overwrite ``values``."""
     # on values.T, whose first axis indexes the columns: for a column-major
     # sample matrix every kind gathers and scatters whole contiguous columns
     kinds, label = groups
@@ -261,7 +262,8 @@ def _columnwise(groups, method: str, values) -> np.ndarray:
     out = np.empty(vt.shape)
     for k, margin in enumerate(kinds):
         cols = np.flatnonzero(label == k)
-        out[cols] = getattr(margin, method)(vt[cols])
+        if cols.size:  # a kind need not have the method if no column asks
+            out[cols] = getattr(margin, method)(vt[cols])
     return out.T
 
 

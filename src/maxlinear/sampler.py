@@ -130,6 +130,19 @@ def _truncated_matrix(
     return buf.T
 
 
+def _pick_atoms(law: ConditionalLaw, gen: np.random.Generator, num: int) -> np.ndarray:
+    """(num, rank) atom columns, one per class per draw, from one
+    (num, rank) uniform matrix: one search over the per-class cumulative
+    weights joined end to end, where class s spans (s, s + 1], its uniform
+    is shifted by s, and the pick is clamped into the class against
+    rounding."""
+    cols, starts = _joined(law.structure.J)
+    last = np.append(starts[1:], cols.size) - 1
+    cum = np.cumsum(np.concatenate(law.weights))
+    u = gen.random((num, law.rank)) + np.arange(law.rank)
+    return cols[np.clip(np.searchsorted(cum, u, side="right"), starts, last)]
+
+
 def draw_conditional_batch(
     law: ConditionalLaw, num: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -137,11 +150,9 @@ def draw_conditional_batch(
 
     The classes are independent and their J_bar sets partition the
     columns, so a batch takes two uniform matrices. The first picks the
-    atom of every class in every draw, by one search over the per-class
-    cumulative weights joined end to end: class s spans (s, s + 1], its
-    uniform is shifted by s, and the pick is clamped into the class
-    against rounding. The second draws every column below its bound;
-    the picked atoms then overwrite their columns with zhat.
+    atom of every class in every draw (:func:`_pick_atoms`). The second
+    draws every column below its bound; the picked atoms then overwrite
+    their columns with zhat.
 
     Returns (Z, chosen) with shapes (num, p) and (num, rank); Z is
     column-major (``Z.T`` is C-contiguous), one contiguous column per
@@ -152,11 +163,7 @@ def draw_conditional_batch(
     num = _integer("num", num, 1)
     _check_design_size(num, law.z_hat.size, f"num={num}: Z")
     gen = _as_generator(rng)
-    cols, starts = _joined(law.structure.J)
-    last = np.append(starts[1:], cols.size) - 1
-    cum = np.cumsum(np.concatenate(law.weights))
-    u = gen.random((num, law.rank)) + np.arange(law.rank)
-    chosen = cols[np.clip(np.searchsorted(cum, u, side="right"), starts, last)]
+    chosen = _pick_atoms(law, gen, num)
     Z = _truncated_matrix(law.margins, law.z_hat, gen, num)
     Z[np.arange(num)[:, None], chosen] = law.z_hat[chosen]
     return Z, chosen
@@ -241,24 +248,14 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     # an error about a column of the model names that column in A
     with _columns_of(cond):
         law = conditional_law(model, task.x, task.rel_tol)
-        Zc, _ = draw_conditional_batch(law, num, RngStream(seed, 0))
-    if free.size:
-        # column-major like Zc, so each column is copied or drawn contiguously;
-        # a free factor is its margin truncated below +inf, i.e. untruncated
-        Z = np.empty((A.shape[1], num)).T
-        Z.T[cond] = Zc.T
-        with _columns_of(free):
-            Z.T[free] = _truncated_matrix(
-                [task.margins[j] for j in free],
-                np.full(free.size, np.inf),
-                RngStream(seed, 1).generator(),
-                num,
-            ).T
-    else:
-        Z = Zc
-    # free factors are unbounded
+    # one generator and one buffer for every column: a free factor is its
+    # margin truncated below +inf, i.e. untruncated
+    gen = RngStream(seed, 0).generator()
+    chosen = cond[_pick_atoms(law, gen, num)]
     upper = np.full(A.shape[1], np.inf)
     upper[cond] = law.z_hat
+    Z = _truncated_matrix(task.margins, upper, gen, num)
+    Z[np.arange(num)[:, None], chosen] = upper[chosen]
     Y = max_linear_apply_batch(B, Z, upper=upper, floor=row_floors(law, B_cond))
     # Y >= 0, so a row of B overflowed iff its column's maximum is inf
     over = np.flatnonzero(np.isinf(Y.max(axis=0)))

@@ -82,6 +82,17 @@ def test_summarize_rejects_bad_levels():
     assert table.exceedance.tolist() == [0.0, 1.0]
 
 
+def test_summarize_means_do_not_overflow():
+    # the column sum passed the float64 range: an overflow warning and inf
+    table = summarize(np.full((20, 1), 1e308))
+    assert table.means.tolist() == [1e308]
+    # scaling by a power of two leaves ordinary means bit-identical
+    gen = RngStream(5).generator()
+    for scale in (1.0, -3.0, 1e-300, 1e300):
+        samples = gen.standard_normal((333, 3)) * scale
+        assert np.array_equal(summarize(samples).means, samples.mean(axis=0))
+
+
 def test_write_sample_csv(tmp_path):
     path = tmp_path / "samples.csv"
     Z = np.array([[1.0, 0.1 + 0.2], [5e-324, np.nextafter(3.0, 0.0)]])

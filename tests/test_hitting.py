@@ -28,7 +28,7 @@ from maxlinear.hitting import (
     compute_upper_bounds,
     decompose,
 )
-from maxlinear.model import BLOCK_ELEMENTS, validate_observations
+from maxlinear.model import BLOCK_ELEMENTS, _check_model_matrix, validate_observations
 from maxlinear.sampler import PredictionTask, run_prediction
 
 TRIL3 = np.tril(np.ones((3, 3)))
@@ -540,6 +540,27 @@ def test_the_pass_takes_the_list_A_that_validate_model_takes():
     unchecked = _stages(MaxLinearModel(A=A, margins=margins), [1.0])
     for got, want in zip(unchecked, _stages(validate_model(A, margins), [1.0])):
         assert _same(got(), want())
+
+
+def test_a_bad_entry_is_checked_and_reported_once(monkeypatch):
+    # the bad block raised NegativeEntryError, and the handler's check of A
+    # raised it a second time "during handling of the above exception"
+    calls = []
+
+    def counted(A):
+        calls.append(1)
+        return _check_model_matrix(A)
+
+    monkeypatch.setattr("maxlinear.hitting._check_model_matrix", counted)
+    model = MaxLinearModel(A=np.array([[1.0, -1.0]]), margins=(standard_frechet(1.0),) * 2)
+    with pytest.raises(NegativeEntryError, match=r"columns \[1\]$") as info:
+        hitting_structure(model, [1.0])
+    assert len(calls) == 1
+    chain, exc = [], info.value
+    while exc is not None:
+        chain.append(exc)
+        exc = exc.__cause__ or exc.__context__
+    assert sum(isinstance(e, NegativeEntryError) for e in chain) == 1
 
 
 def test_hitting_structure_makes_no_n_by_p_float_temporary():

@@ -22,6 +22,8 @@ from maxlinear import (
     ZeroMassBelowBoundError,
     conditional_law,
     draw_conditional_batch,
+    marma_coefficients,
+    marma_design,
     run_prediction,
     smith_design,
     standard_frechet,
@@ -30,6 +32,7 @@ from maxlinear import (
 from maxlinear.errors import AcceptanceTooRareError, DimensionOverflowError, _to_json
 from maxlinear.hitting import compute_upper_bounds
 from maxlinear.margins import _columnwise, margin_from_dict, margin_groups
+from maxlinear.marma import simulate_marma_window
 from maxlinear.model import live_entries, max_linear_apply_batch
 from maxlinear.oracles import (
     ones_lower_triangular_model,
@@ -524,11 +527,11 @@ def test_run_prediction_with_free_columns():
     assert np.allclose(np.max(result.Z[:, :2], axis=1), 2.0, rtol=1e-9)
 
 
-@pytest.mark.parametrize("p_free, calls", [(0, 2), (2, 3)])
-def test_one_request_groups_the_margins_once_per_layer(monkeypatch, p_free, calls):
-    # once for the class weights and once per truncated draw (the
-    # conditioned columns, then the free ones), never per draw block:
-    # 20,000 samples put one column in a block
+@pytest.mark.parametrize("p_free", [0, 2])
+def test_one_request_groups_the_margins_once_per_layer(monkeypatch, p_free):
+    # once for the class weights (the conditioned columns) and once for the
+    # one truncated draw of every column, never per draw block: 20,000
+    # samples put one column in a block
     seen = []
 
     def counted(margins):
@@ -543,7 +546,29 @@ def test_one_request_groups_the_margins_once_per_layer(monkeypatch, p_free, call
         A=A, B=np.ones((2, A.shape[1])), margins=(kinds * 2)[: A.shape[1]],
         x=np.array([1.0, 1.0, 3.0]), num_samples=20_000, seed=5,
     ))
-    assert seen == [3, 3, 2][:calls]
+    assert seen == [3, 3 + p_free]
+
+
+def test_free_factors_are_independent_of_the_conditioned_ones():
+    # a free factor is unconditioned, so its column of Z is independent of
+    # every conditioned column. Under independence a rank correlation of
+    # 2,000 draws has sd 1/sqrt(1999) = 0.0224, and one of the 40 x 600
+    # pairs passes 0.15 (6.7 sd) with probability below 1e-6 (a union
+    # bound). Free draws that replay the conditioned draws' uniforms read 1
+    psi = marma_coefficients((0.7, 0.5, 0.3), (), 500)
+    A, _ = marma_design(psi, 100, 40)
+    for seed in range(3):
+        x = simulate_marma_window(psi, 100, 40, RngStream(seed).generator())[1]
+        result = run_prediction(PredictionTask(
+            A=A, B=np.zeros((0, A.shape[1])), margins=(standard_frechet(1.0),) * A.shape[1],
+            x=x, num_samples=2000, seed=seed,
+        ))
+        # ties among the atoms are ranked in draw order
+        ranks = np.argsort(np.argsort(result.Z, axis=0, kind="stable"), axis=0)
+        ranks = (ranks - ranks.mean(axis=0)) / ranks.std(axis=0)
+        free, cond = ranks[:, result.free_columns], ranks[:, result.conditioned_columns]
+        assert (free.shape[1], cond.shape[1]) == (40, 600)
+        assert np.abs(free.T @ cond / len(ranks)).max() < 0.15
 
 
 def test_free_columns_follow_their_margins():
@@ -745,6 +770,29 @@ def test_free_path_errors_name_the_column_of_A(A, x, margins, error, match):
     )
     with pytest.raises(error, match=match):
         run_prediction(task)
+
+
+class _NoDensity(MarginSpec):
+    """Unit Frechet with only a CDF and a quantile."""
+
+    def cdf(self, z):
+        return standard_frechet(1.0).cdf(z)
+
+    def quantile(self, u):
+        return standard_frechet(1.0).quantile(u)
+
+
+def test_a_margin_is_asked_only_for_what_its_columns_need():
+    # column 1 is never a candidate atom, so its density is never needed;
+    # the weights still called every margin kind, even on no column
+    task = PredictionTask(
+        A=np.array([[1.0, 0.5], [1.0, 0.0]]), B=np.ones((1, 2)),
+        margins=(standard_frechet(1.0), _NoDensity()), x=np.array([1.0, 1.0]),
+        num_samples=50, seed=0,
+    )
+    Z = run_prediction(task).Z
+    assert np.all(Z[:, 0] == 1.0)
+    assert np.all((Z[:, 1] > 0.0) & (Z[:, 1] < 2.0))
 
 
 def test_margin_count_mismatch_is_one_error_class():
