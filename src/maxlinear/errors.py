@@ -163,9 +163,11 @@ class InconsistentObservationError(MaxLinearError):
 
 class NumericalOverflowError(MaxLinearError):
     """An upper bound zhat_j = min_i x_i / a_ij is beyond the float64
-    range, so the observation cannot be conditioned on in floating
-    point; or a prediction B (max-times) Z, or the sum of the MARMA
-    coefficients psi, is beyond it."""
+    range, or underflows it (a row with no hit has an x_i / a_ij below the
+    smallest normal float64, too few digits to reproduce x_i), so the
+    observation cannot be conditioned on in floating point; or a
+    prediction B (max-times) Z, or the sum of the MARMA coefficients psi,
+    is beyond the range."""
 
 
 class EmptyScenarioClassError(MaxLinearError):

@@ -50,7 +50,9 @@ class HittingStructure:
     J : tuple of column-index arrays; J[s] are the columns hitting
         every row of classes[s] (candidate atoms of class s).
     J_bar : tuple of column-index arrays; J_bar[s] are the columns
-        hitting at least one row of classes[s]. They partition the
+        hitting at least one row of classes[s], and J_bar[0] also holds
+        every column that hits no row (at a small rel_tol, a_ij * zhat_j
+        can round away from x_i at every row). They partition the
         column set.
     rank : number of classes (equals the minimal hitting-scenario size).
     """
@@ -77,30 +79,11 @@ def compute_upper_bounds(model: MaxLinearModel, x) -> np.ndarray:
     return _bounds_and_hits(model.A, x, hits=False)[0]
 
 
-def compute_hitting_matrix(
-    model: MaxLinearModel, x, z_hat, rel_tol: float = DEFAULT_REL_TOL
-) -> np.ndarray:
-    """Boolean matrix with H[i,j] set iff A[i,j] * zhat_j reproduces x_i.
-
-    Equality is taken relative: |A[i,j] * zhat_j - x_i| <= rel_tol * x_i,
-    and only where A[i,j] > 0.
-
-    Raises
-    ------
-    ValueError
-        unless 0 <= rel_tol < 1.
-    InconsistentObservationError
-        if some row has no hit, i.e. x is not in the range of the model
-        within tolerance.
-    """
-    return _bounds_and_hits(model.A, x, rel_tol, np.asarray(z_hat, dtype=float))[1]
-
-
-def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
+def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, hits=True):
     """``(z_hat, H)`` of the coefficient matrix ``A`` at the observation
-    ``x``, in one pass over the column blocks of ``A``.
+    ``x``, in one pass over the column blocks of ``A``; with ``hits=False``
+    H is None.
 
-    A given ``z_hat`` is used as it is; with ``hits=False`` H is None.
     Per block, a min and a max (no temporary) check that the entries are
     finite and nonnegative, and zhat and H are computed in one reused
     (n, width) float buffer, with no mask ``A > 0``: x_i / 0 is inf and a
@@ -108,9 +91,9 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
     zhat at inf and a row with none has no hit, and with both zhat and H
     formed a clean pass has met every condition of :func:`validate_model`.
     One handler catches every fault (a bad entry, a bad ``x``, an infinite
-    zhat, a bad ``rel_tol``, a row with no hit) and first runs that
-    function's checks of ``A``, which raise the first fault of ``A`` in its
-    order; only a clean ``A`` lets the pass's own fault through.
+    or underflowing zhat, a bad ``rel_tol``, a row with no hit) and first
+    runs that function's checks of ``A``, which raise the first fault of
+    ``A`` in its order; only a clean ``A`` lets the pass's own fault through.
     """
     try:
         A = _matrix(A, "A")
@@ -118,9 +101,7 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
         x = validate_observations(x, n)
         if A.size == 0:
             _check_model_matrix(A)  # raises DimensionMismatchError
-        bounds = z_hat is None
-        if bounds:
-            z_hat = np.empty(p)
+        z_hat = np.empty(p)
         # at rel_tol >= 1 every a_ij * zhat_j <= x_i would count as a hit
         tol_ok = _real(rel_tol) and 0.0 <= rel_tol < 1.0
         H = np.empty((n, p), dtype=bool) if hits and tol_ok else None
@@ -138,19 +119,18 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
                 if not (block.min() >= 0.0 and block.max() < np.inf):
                     # the handler's check names every bad column of A
                     raise ValueError("A has a negative or non-finite entry")
-                if bounds:
-                    # the entries are >= 0, so abs only turns -0.0 into 0.0,
-                    # which keeps x_i / a_ij at +inf for every zero entry
-                    np.abs(block, out=work)
-                    np.divide(xc, work, out=work)
-                    z = work.min(axis=0, out=z_hat[cols])
-                    if z.max() == np.inf:  # an empty column, or an overflow
-                        raise _at_column(
-                            NumericalOverflowError,
-                            "upper bound of column {column} overflows float64: every "
-                            f"x_i / a_ij of that column exceeds {np.finfo(float).max:.3g}",
-                            start + int(np.argmax(z == np.inf)),
-                        )
+                # the entries are >= 0, so abs only turns -0.0 into 0.0,
+                # which keeps x_i / a_ij at +inf for every zero entry
+                np.abs(block, out=work)
+                np.divide(xc, work, out=work)
+                z = work.min(axis=0, out=z_hat[cols])
+                if z.max() == np.inf:  # an empty column, or an overflow
+                    raise _at_column(
+                        NumericalOverflowError,
+                        "upper bound of column {column} overflows float64: every "
+                        f"x_i / a_ij of that column exceeds {np.finfo(float).max:.3g}",
+                        start + int(np.argmax(z == np.inf)),
+                    )
                 if H is not None:
                     # a zero entry has |0 - x_i| = x_i > rel_tol * x_i, so H
                     # needs no mask: it is False wherever A is not positive
@@ -162,10 +142,22 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
             return z_hat, None
         if H is None:
             raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
-        missed = ~H.any(axis=1)
-        if missed.any():  # an empty row, or x outside the model range
+        missed = np.flatnonzero(~H.any(axis=1))
+        if missed.size:  # an empty row, an underflow, or x outside the model range
+            with np.errstate(divide="ignore", over="ignore"):
+                ratios = x[missed, None] / np.abs(A[missed])
+            # a subnormal x_i / a_ij keeps too few digits for a_ij * zhat_j to
+            # reproduce x_i within rel_tol
+            low = np.flatnonzero((ratios < np.finfo(float).tiny).any(axis=0))
+            if low.size:
+                raise _at_column(
+                    NumericalOverflowError,
+                    "upper bound of column {column} underflows float64: x_i / a_ij "
+                    f"at a row with no hit is below {np.finfo(float).tiny:.3g}",
+                    low[0],
+                )
             raise InconsistentObservationError(
-                f"no factor can reproduce observation rows {np.flatnonzero(missed).tolist()}; "
+                f"no factor can reproduce observation rows {missed.tolist()}; "
                 "x is outside the model range (within tolerance)"
             )
         return z_hat, H
@@ -174,39 +166,16 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, z_hat=None, hits=True):
         raise
 
 
-def decompose(H, z_hat) -> HittingStructure:
-    """Split rows into connected classes and columns into their J-sets.
-
-    Two rows are related when some column hits both; classes are the
-    transitive closure, computed with a union-find over the hits of the
-    (few) columns carrying more than one hit, taken from one
-    ``np.nonzero``. With no such column every row is its own class.
-    Otherwise one pass over the rows groups them under their roots, so
-    the classes come in the order of their smallest rows (each root is
-    also its class's smallest row). Each column belongs to the class of
-    its first hit row, J_bar[s] is one scan of those labels per class,
-    and J[s] keeps the columns whose hit count equals the size of class s.
-
-    Raises
-    ------
-    ValueError
-        if H is empty or has an empty row or column.
-    EmptyScenarioClassError
-        if some class has no column hitting all of its rows. On
-        model-generated data this is a probability-zero event; it
-        signals a tolerance failure or an inconsistent observation.
-    """
-    H = np.asarray(H, dtype=bool)
-    z_hat = np.asarray(z_hat, dtype=float)
-    if H.size == 0:
-        raise ValueError("H is not a valid hitting matrix: empty")
-    if not (H.any(axis=0).all() and H.any(axis=1).all()):
-        raise ValueError("H is not a valid hitting matrix: empty row or column")
-    return _decompose_checked(H, z_hat)
-
-
 def _decompose_checked(H: np.ndarray, z_hat: np.ndarray) -> HittingStructure:
-    """Decomposition core; assumes H is boolean with no empty row/column."""
+    """The classes, J and J_bar of the boolean H, which has no empty row.
+
+    Two rows are related when some column hits both; the classes, the
+    transitive closure, come from a union-find over the hits of the
+    columns with two or more hits, in the order of their smallest rows.
+    Each column belongs to the class of its first hit row, and J[s] keeps
+    the columns whose hit count is the size of class s. A column with no
+    hit goes to J_bar[0] and to no J: it is drawn below its bound, like
+    every column that is not a candidate atom."""
     n, p = H.shape
     col_count = H.sum(axis=0)
 
@@ -271,7 +240,21 @@ def hitting_structure(
     zhat and H come from one pass over the column blocks of ``model.A``,
     which also checks ``A`` as :func:`validate_model` does, so a model
     built from an unchecked ``A`` gets the same errors, in the same order,
-    as ``validate_model`` followed by this call.
+    as ``validate_model`` followed by this call. H[i, j] is set iff
+    |A[i,j] * zhat_j - x_i| <= rel_tol * x_i with A[i,j] > 0.
+
+    Raises
+    ------
+    ValueError
+        unless 0 <= rel_tol < 1.
+    NumericalOverflowError
+        if some zhat_j is beyond the float64 range, or a row with no hit
+        has an x_i / a_ij below the smallest normal float64.
+    InconsistentObservationError
+        if a row has no hit otherwise: x is outside the model range.
+    EmptyScenarioClassError
+        if some class has no column hitting all of its rows; on
+        model-generated data, a tolerance failure.
     """
     z_hat, H = _bounds_and_hits(model.A, x, rel_tol)
     return _decompose_checked(H, z_hat)

@@ -30,12 +30,7 @@ from .errors import (
     _real,
 )
 from .experiments import derived_seed
-from .hitting import (
-    DEFAULT_REL_TOL,
-    compute_hitting_matrix,
-    compute_upper_bounds,
-    hitting_structure,
-)
+from .hitting import DEFAULT_REL_TOL, compute_upper_bounds, hitting_structure
 from .margins import MarginSpec, _columnwise, margin_groups, standard_frechet
 from .model import (
     MaxLinearModel,
@@ -298,13 +293,12 @@ def check_worked_examples(seed: int) -> dict:
     cases = {}
     for x, H_want, scen_want in WORKED_EXAMPLES:
         x = np.array(x)
-        z_hat = compute_upper_bounds(model, x)
-        H = compute_hitting_matrix(model, x, z_hat)
+        s = hitting_structure(model, x)
         label = ",".join(f"{v:g}" for v in x)
         cases[label] = bool(
-            np.array_equal(z_hat, x)
-            and np.array_equal(H, H_want)
-            and enumerate_relevant_scenarios(H) == scen_want
+            np.array_equal(s.z_hat, x)
+            and np.array_equal(s.H, H_want)
+            and enumerate_relevant_scenarios(s.H) == scen_want
         )
     Z_i, Z_ii, Z_iii = (
         draw_conditional_batch(conditional_law(model, np.array(x)), num, RngStream(seed, k))[0]

@@ -31,10 +31,10 @@ from .margins import MarginSpec, _columnwise, margin_groups
 from .model import (
     MaxLinearModel,
     _block_width,
+    _check_model_matrix,
     _matrix,
     check_coefficients,
     max_linear_apply_batch,
-    validate_model,  # not called here; the benchmark's tracer wraps this name
 )
 
 
@@ -241,6 +241,8 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     # does, so the model takes them unchecked and with no further copy
     if free.size:
         check_coefficients(A, "A")  # the free columns too, numbered as in A
+        if not cond.size:  # every row is zero: validate_model's error for A
+            _check_model_matrix(A)
         model = MaxLinearModel(A=A[:, cond], margins=tuple(task.margins[j] for j in cond))
         B_cond = B[:, cond]
     else:  # every column observed: no sub-block copies

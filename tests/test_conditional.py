@@ -22,7 +22,7 @@ from maxlinear.errors import (
     NumericalOverflowError,
     TooLargeForBruteForceError,
 )
-from maxlinear.hitting import decompose
+from maxlinear.hitting import _decompose_checked
 from maxlinear.oracles import (
     enumerate_relevant_scenarios,
     factorization_gap,
@@ -60,7 +60,7 @@ def test_symmetric_two_candidate_weights():
 
 
 def _two_candidate_structure(z_hat):
-    return decompose(np.array([[1, 1]], dtype=bool), np.asarray(z_hat, dtype=float))
+    return _decompose_checked(np.array([[1, 1]], dtype=bool), np.asarray(z_hat, dtype=float))
 
 
 def frechet_weights(structure, alphas, scales):

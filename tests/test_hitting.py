@@ -22,12 +22,7 @@ from maxlinear import (
     validate_model,
 )
 from maxlinear.experiments import _bench_design
-from maxlinear.hitting import (
-    _decompose_checked,
-    compute_hitting_matrix,
-    compute_upper_bounds,
-    decompose,
-)
+from maxlinear.hitting import _decompose_checked, compute_upper_bounds
 from maxlinear.model import BLOCK_ELEMENTS, _check_model_matrix, validate_observations
 from maxlinear.sampler import PredictionTask, run_prediction
 
@@ -79,17 +74,51 @@ HITTING_CASES = [
 
 @pytest.mark.parametrize("x,expected", HITTING_CASES)
 def test_hitting_matrix_triangular_cases(x, expected):
-    m = model3()
-    x = np.asarray(x)
-    H = compute_hitting_matrix(m, x, compute_upper_bounds(m, x))
-    assert np.array_equal(H, expected)
+    s = hitting_structure(model3(), x)
+    assert np.array_equal(s.z_hat, x)
+    assert np.array_equal(s.H, expected)
 
 
 def test_hitting_matrix_rejects_out_of_range():
-    m = model3()
-    x = np.array([1.0, 0.5, 3.0])  # row 2 demands max(z1, z2) = 0.5 < z1 bound
-    with pytest.raises(InconsistentObservationError):
-        compute_hitting_matrix(m, x, compute_upper_bounds(m, x))
+    # row 1 bounds z_0 by 0.5, so row 0 (x_0 = 1) has no hit
+    x = np.array([1.0, 0.5, 3.0])
+    with pytest.raises(InconsistentObservationError, match=r"rows \[0\];"):
+        hitting_structure(model3(), x)
+
+
+def test_an_underflowing_bound_is_named_not_called_inconsistent():
+    # zhat = 1e-20 / 1e300 = 1e-320 is subnormal, and 1e300 * zhat missed x
+    # by 1.1e-5 relative, which was reported as an x outside the model range;
+    # run_prediction's case is in test_free_path_errors_name_the_column_of_A
+    m = small_model([[1e300]])
+    for stage in (hitting_structure, conditional_law):
+        with pytest.raises(NumericalOverflowError, match="column 0 underflows float64"):
+            stage(m, [1e-20])
+    # zhat = 1e-310 is subnormal too, but 1e300 * zhat hits x within 3.1e-15
+    assert hitting_structure(m, [1e-10]).H.tolist() == [[True]]
+    assert conditional_law(m, [1e-10]).z_hat.tolist() == [1e-310]
+    # row 0 has no hit, and its x_0 / a_00 = 1e310 overflows: no underflow,
+    # so x is outside the model range, with no overflow warning
+    m = small_model([[1e-300, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InconsistentObservationError, match=r"rows \[0\];"):
+        hitting_structure(m, [1e10, 5.0, 1.0])
+
+
+def test_a_column_that_hits_no_row_joins_the_first_J_bar():
+    # at rel_tol = 0, 49 * (1 / 49) != 1, so column 0 hits no row: it goes
+    # to J_bar[0] and to no J, is drawn below its bound, and every draw
+    # still reproduces x
+    A = np.array([[49.0, 1.0]])
+    s = hitting_structure(small_model(A), [1.0], 0.0)
+    assert s.H.tolist() == [[False, True]]
+    assert [j.tolist() for j in s.J] == [[1]]
+    assert [j.tolist() for j in s.J_bar] == [[0, 1]]
+    result = run_prediction(PredictionTask(
+        A=A, B=A, margins=(standard_frechet(1.0),) * 2, x=np.array([1.0]),
+        num_samples=200, seed=0, rel_tol=0.0,
+    ))
+    assert np.all(result.Z[:, 1] == 1.0) and np.all(result.Z[:, 0] < s.z_hat[0])
+    assert np.all(result.Y == 1.0)
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, -1e-3, 1.0, np.inf, None, "0.1", False])
@@ -100,7 +129,7 @@ def test_rel_tol_outside_the_unit_interval_is_rejected(rel_tol):
     m = small_model([[1.0, 0.5, 0.2], [0.3, 1.0, 0.4]])
     x = np.array([1.0, 2.0])
     with pytest.raises(ValueError, match="rel_tol"):
-        compute_hitting_matrix(m, x, compute_upper_bounds(m, x), rel_tol)
+        hitting_structure(m, x, rel_tol)
     with pytest.raises(ValueError, match="rel_tol"):
         conditional_law(m, x, rel_tol)
     with pytest.raises(ValueError, match="rel_tol"):
@@ -111,7 +140,7 @@ def test_rel_tol_outside_the_unit_interval_is_rejected(rel_tol):
 
 
 def test_decompose_diagonal():
-    s = decompose(np.eye(3, dtype=bool), np.array([1.0, 2.0, 3.0]))
+    s = hitting_structure(model3(), HITTING_CASES[0][0])
     assert s.rank == 3
     for k in range(3):
         assert s.classes[k].tolist() == [k]
@@ -120,7 +149,7 @@ def test_decompose_diagonal():
 
 
 def test_decompose_two_classes():
-    s = decompose(HITTING_CASES[1][1], np.array([1.0, 1.0, 3.0]))
+    s = hitting_structure(model3(), HITTING_CASES[1][0])
     assert s.rank == 2
     assert [c.tolist() for c in s.classes] == [[0, 1], [2]]
     assert [j.tolist() for j in s.J] == [[0], [2]]
@@ -128,28 +157,18 @@ def test_decompose_two_classes():
 
 
 def test_decompose_single_class():
-    s = decompose(HITTING_CASES[2][1], np.array([1.0, 1.0, 1.0]))
+    s = hitting_structure(model3(), HITTING_CASES[2][0])
     assert s.rank == 1
     assert s.classes[0].tolist() == [0, 1, 2]
     assert s.J[0].tolist() == [0]
     assert s.J_bar[0].tolist() == [0, 1, 2]
 
 
-def test_decompose_rejects_invalid_matrix():
-    with pytest.raises(ValueError, match="empty$"):
-        decompose(np.zeros((0, 3), dtype=bool), np.ones(3))
-    with pytest.raises(ValueError):
-        decompose(np.zeros((2, 2), dtype=bool), np.ones(2))
-    with pytest.raises(ValueError):
-        # empty column
-        decompose(np.array([[1, 0], [1, 0]], dtype=bool), np.ones(2))
-
-
 def test_decompose_empty_class_detection():
     # rows all linked through columns, but no column hits all three rows
-    H = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
+    A = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
     with pytest.raises(EmptyScenarioClassError):
-        decompose(H, np.ones(3))
+        hitting_structure(small_model(A), [1.0, 1.0, 1.0])
 
 
 def _union_find_oracle(H: np.ndarray, z_hat: np.ndarray) -> HittingStructure:
@@ -314,12 +333,10 @@ def test_residuation_property(seed):
 def test_scale_invariance(seed, c):
     model, z = _random_instance(seed)
     x = (model.A * z).max(axis=1)
-    z_hat = compute_upper_bounds(model, x)
-    z_hat_scaled = compute_upper_bounds(model, c * x)
-    assert np.allclose(z_hat_scaled, c * z_hat, rtol=1e-12)
-    H = compute_hitting_matrix(model, x, z_hat)
-    H_scaled = compute_hitting_matrix(model, c * x, z_hat_scaled)
-    assert np.array_equal(H, H_scaled)
+    s = hitting_structure(model, x)
+    scaled = hitting_structure(model, c * x)
+    assert np.allclose(scaled.z_hat, c * s.z_hat, rtol=1e-12)
+    assert np.array_equal(s.H, scaled.H)
 
 
 @given(seed=st.integers(0, 10**9))
@@ -498,21 +515,16 @@ def test_blocked_pass_matches_the_whole_matrix_formulas(
     checks = _outcome(lambda: _reference_checks(A))
     assert _same(_outcome(lambda: validate_model(A, margins).A), checks)
     if isinstance(checks, np.ndarray):
-        # the public stages, on a checked A
+        # the bounds alone, on a checked A
         bounds = _outcome(lambda: _reference_bounds(A, x)[1])
         assert _same(_outcome(lambda: compute_upper_bounds(model, x)), bounds)
-        if isinstance(bounds, np.ndarray):
-            hits = _outcome(lambda: _reference_hits(A, validate_observations(x, n), bounds, rel_tol))
-            got = _outcome(lambda: compute_hitting_matrix(model, x, bounds, rel_tol))
-            assert _same(got, hits)
 
 
 def _stages(model, x):
-    """The three public stages that run the pass, called on ``model``."""
+    """The two public stages that run the pass, called on ``model``."""
     return (
         lambda: hitting_structure(model, x),
         lambda: compute_upper_bounds(model, x),
-        lambda: compute_hitting_matrix(model, x, np.ones(np.shape(model.A)[-1:])),
     )
 
 

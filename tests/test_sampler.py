@@ -20,6 +20,7 @@ from maxlinear import (
     SmithSpec,
     TabulatedContinuous,
     ZeroMassBelowBoundError,
+    ZeroRowError,
     conditional_law,
     draw_conditional_batch,
     marma_coefficients,
@@ -747,10 +748,29 @@ def test_run_prediction_checks_free_columns_and_the_shape_of_A():
         run_prediction(dataclasses.replace(task, A=np.ones(3), x=np.array([1.0])))
 
 
+@pytest.mark.parametrize("A", [np.zeros((2, 3)), np.array([[0.0, -0.0]])])
+def test_an_all_zero_A_is_reported_as_validate_model_does(A):
+    # every column is free, so the pass saw the (n, 0) sub-model and named
+    # "shape (2, 0)", a shape the caller never passed
+    margins = (standard_frechet(1.0),) * A.shape[1]
+    with pytest.raises(ZeroRowError) as want:
+        validate_model(A, margins)
+    task = PredictionTask(
+        A=A, B=np.ones((1, A.shape[1])), margins=margins, x=np.ones(A.shape[0]),
+        num_samples=5, seed=0,
+    )
+    with pytest.raises(ZeroRowError) as got:
+        run_prediction(task)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("A, x, margins, error, match", [
     # zhat_2 = 1e300 / 1e-300 passes the float64 range
     ([[0.0, 1.0, 1e-300]], 1e300, (standard_frechet(1.0),) * 3,
      NumericalOverflowError, "upper bound of column 2 "),
+    # zhat_1 = 1e-20 / 1e300 is subnormal, and 1e300 * zhat_1 misses x
+    ([[0.0, 1e300]], 1e-20, (standard_frechet(1.0),) * 2,
+     NumericalOverflowError, "column 1 underflows float64"),
     # zhat_2 = 1 lies below the support [2, 4] of its margin
     ([[0.0, 1.0, 1.0]], 1.0, (standard_frechet(1.0),) * 2
      + (TabulatedContinuous([2.0, 4.0], [0.5, 0.5]),),
@@ -760,7 +780,7 @@ def test_run_prediction_checks_free_columns_and_the_shape_of_A():
     # the draw of the free columns 0 and 2
     ([[0.0, 1.0, 0.0]], 1.0, (standard_frechet(1.0),) * 2 + (_FixedQuantile(np.nan),),
      ZeroMassBelowBoundError, "quantile of column 2 "),
-], ids=["overflow", "below_support", "log_cdf", "free_draw"])
+], ids=["overflow", "underflow", "below_support", "log_cdf", "free_draw"])
 def test_free_path_errors_name_the_column_of_A(A, x, margins, error, match):
     # column 0 is free, so each faulty column sat one place lower in the
     # conditioned (or free) columns, and the message named that place
