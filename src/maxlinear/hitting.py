@@ -142,10 +142,11 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, hits=True):
             return z_hat, None
         if H is None:
             raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
-        missed = np.flatnonzero(~H.any(axis=1))
-        if missed.size:  # an empty row, an underflow, or x outside the model range
+        missed = ~H.any(axis=1)
+        if missed.any():  # an empty row, an underflow, or x outside the model range
+            rows = np.flatnonzero(missed)
             with np.errstate(divide="ignore", over="ignore"):
-                ratios = x[missed, None] / np.abs(A[missed])
+                ratios = x[rows, None] / np.abs(A[rows])
             # a subnormal x_i / a_ij keeps too few digits for a_ij * zhat_j to
             # reproduce x_i within rel_tol
             low = np.flatnonzero((ratios < np.finfo(float).tiny).any(axis=0))
@@ -157,7 +158,7 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, hits=True):
                     low[0],
                 )
             raise InconsistentObservationError(
-                f"no factor can reproduce observation rows {missed.tolist()}; "
+                f"no factor can reproduce observation rows {rows.tolist()}; "
                 "x is outside the model range (within tolerance)"
             )
         return z_hat, H
