@@ -44,10 +44,9 @@ def _log_candidate_terms(structure: HittingStructure, groups) -> tuple[np.ndarra
     return np.log(z_hat) + terms, starts
 
 
-def class_weights(
-    structure: HittingStructure, margins: Sequence[MarginSpec]
-) -> list[np.ndarray]:
-    """Normalized mixture weights for each class (sum to one per class).
+def class_weights(structure: HittingStructure, groups) -> list[np.ndarray]:
+    """Normalized mixture weights for each class (sum to one per class),
+    for the margins grouped as ``groups = margin_groups(margins)``.
 
     Candidate j of class s has weight proportional to
         zhat_j f_j(zhat_j) * prod over k in J_bar[s], k != j, of F_k(zhat_k),
@@ -63,9 +62,9 @@ def class_weights(
         if no candidate of a class has positive density at its bound:
         the observation then has zero density under the model.
     """
-    groups = margin_groups(margins)
+    kinds, label = groups
     # from the support, not from log F = -inf, which a positive F can underflow to
-    lower = np.array([m.lower_end for m in groups[0]])[groups[1]]
+    lower = np.array([m.lower_end for m in kinds])[label]
     empty = np.flatnonzero(structure.z_hat <= lower)
     if empty.size:
         raise _at_column(
@@ -96,6 +95,7 @@ class ConditionalLaw:
 
     structure: HittingStructure
     margins: tuple[MarginSpec, ...]
+    groups: tuple  # margin_groups(margins), grouped once for the weights and the draw
     weights: tuple[np.ndarray, ...]
 
     @property
@@ -112,7 +112,8 @@ def conditional_law(
 ) -> ConditionalLaw:
     """Build the factorized conditional law for observed X = x."""
     structure = hitting_structure(model, x, rel_tol)
-    weights = class_weights(structure, model.margins)
+    groups = margin_groups(model.margins)
+    weights = class_weights(structure, groups)
     return ConditionalLaw(
-        structure=structure, margins=model.margins, weights=tuple(weights)
+        structure=structure, margins=model.margins, groups=groups, weights=tuple(weights)
     )

@@ -62,8 +62,9 @@ class MarginSpec:
     def _hazard_quantile(self, h):
         """Quantile at ``exp(-h)``, the inverse of ``-log_cdf``: the
         truncated draw's last step. May overwrite the array ``h`` and
-        return it."""
-        return self.quantile(np.exp(0.0 - h))
+        return it; this default forms exp(-h) in ``h`` itself."""
+        np.negative(h, out=h)
+        return self.quantile(np.exp(h, out=h))
 
 
 @dataclass(frozen=True)
@@ -248,23 +249,29 @@ def margin_groups(margins: Sequence[MarginSpec]) -> tuple[tuple, np.ndarray]:
     return tuple(kinds), np.array(label, dtype=np.intp)
 
 
-def _columnwise(groups, method: str, values) -> np.ndarray:
+def _columnwise(groups, method: str, values, out=None) -> np.ndarray:
     """``kinds[label[j]].<method>`` applied to ``values[..., j]`` for every j,
     one vectorized call per kind that has a column there, with
     ``(kinds, label) = groups``. A method that works in place, like
-    ``_hazard_quantile``, may overwrite ``values``."""
+    ``_hazard_quantile``, may overwrite ``values``. The result goes to
+    ``out`` if one is given (it may be ``values`` itself), else to a new
+    array."""
     # on values.T, whose first axis indexes the columns: for a column-major
     # sample matrix every kind gathers and scatters whole contiguous columns
     kinds, label = groups
     vt = np.asarray(values, dtype=float).T
     if len(kinds) == 1:
-        return np.asarray(getattr(kinds[0], method)(vt), dtype=float).T
-    out = np.empty(vt.shape)
+        result = getattr(kinds[0], method)(vt)
+        if out is None:
+            return np.asarray(result, dtype=float).T
+        out.T[...] = result  # no copy where the method wrote into out itself
+        return out
+    ot = np.empty(vt.shape) if out is None else out.T
     for k, margin in enumerate(kinds):
         cols = np.flatnonzero(label == k)
         if cols.size:  # a kind need not have the method if no column asks
-            out[cols] = getattr(margin, method)(vt[cols])
-    return out.T
+            ot[cols] = getattr(margin, method)(vt[cols])
+    return ot.T
 
 
 # the margin classes of a model file by the kind tag each one declares

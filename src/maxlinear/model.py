@@ -178,7 +178,10 @@ def live_entries(A, upper, floor) -> np.ndarray:
 
 def max_linear_apply_batch(A, Z, upper, floor) -> np.ndarray:
     """Apply ``A`` to each row of the sample matrix ``Z`` (num x p):
-    result[k, i] = max_j A[i, j] * Z[k, j], a (num x n) matrix.
+    result[k, i] = max_j A[i, j] * Z[k, j], a (num x n) matrix. The result
+    is column-major (``result.T`` is C-contiguous): each row of ``A`` is
+    accumulated in one contiguous row of an (n x num) buffer, whose
+    transpose is returned.
 
     ``upper`` bounds the factors, Z[:, j] <= upper[j] for every sample
     (``inf`` where unbounded), and ``floor`` the result, every row i at
@@ -195,7 +198,6 @@ def max_linear_apply_batch(A, Z, upper, floor) -> np.ndarray:
         raise DimensionMismatchError(
             f"incompatible shapes A{A.shape} and Z{Z.shape}"
         )
-    out = np.empty((Z.shape[0], A.shape[0]))
     upper = np.asarray(upper, dtype=float)
     floor = np.asarray(floor, dtype=float)
     if upper.shape != (A.shape[1],) or floor.shape != (A.shape[0],):
@@ -210,7 +212,8 @@ def max_linear_apply_batch(A, Z, upper, floor) -> np.ndarray:
     Zt = Z.T
     block = _block_width(Z.shape[0])
     buf = np.empty((block, Z.shape[0]))
-    out[:] = floor
+    out = np.empty((A.shape[0], Z.shape[0]))
+    out[:] = floor[:, None]
     with np.errstate(over="ignore"):  # a product past float64 is an inf result
         for i in range(A.shape[0]):
             cols = np.flatnonzero(live[i])
@@ -218,8 +221,8 @@ def max_linear_apply_batch(A, Z, upper, floor) -> np.ndarray:
                 part = cols[start : start + block]
                 terms = np.take(Zt, part, axis=0, out=buf[: part.size], mode="clip")
                 terms *= A[i, part][:, None]
-                np.maximum(out[:, i], terms.max(axis=0), out=out[:, i])
-    return out
+                np.maximum(out[i], terms.max(axis=0), out=out[i])
+    return out.T
 
 
 # --- model file format ---------------------------------------------------

@@ -42,6 +42,9 @@ from .sampler import RngStream, _as_generator, draw_conditional_batch
 
 BRUTE_FORCE_COLUMN_CAP = 20
 REJECTION_BATCH = 200_000  # proposals per vectorized round
+# relative amount by which the rejection pre-filter lowers its thresholds,
+# so that rounding never drops a proposal the exact test accepts
+FILTER_SLACK = 1e-9
 
 
 # --- brute-force scenario law ---------------------------------------------
@@ -199,6 +202,11 @@ def rejection_oracle(
     Q_j(U F_j((1 + epsilon) zhat_j)), with each margin's own ``cdf`` and
     ``quantile``. That is an exact rejection sampler of the same target,
     with far fewer proposals than drawing from the untruncated margins.
+    The uniforms are screened before anything else is computed: a
+    proposal passes the exact test only if every row has a positive
+    column with U_j at least the threshold of :func:`_row_thresholds`, so
+    the quantiles, the map and the exact test run on the survivors alone,
+    and the accepted sample is the one the unscreened loop accepts.
 
     Returns the accepted factor vectors, shape (num_accepted, p).
 
@@ -218,7 +226,8 @@ def rejection_oracle(
     x = validate_observations(x, model.n)
     gen = _as_generator(rng)
     box = (1.0 + epsilon) * compute_upper_bounds(model, x)
-    box_mass = [m.cdf(b) for m, b in zip(model.margins, box)]
+    box_mass = np.array([m.cdf(b) for m, b in zip(model.margins, box)])
+    thresholds = _row_thresholds(model, x, epsilon, box_mass)
     accepted: list[np.ndarray] = []
     total_accepted = 0
     proposed = 0
@@ -232,6 +241,7 @@ def rejection_oracle(
             )
         m = min(REJECTION_BATCH, max_proposals - proposed)
         U = gen.random((m, model.p))
+        U = U[_may_accept(U, thresholds)]
         Z = np.column_stack(
             [mj.quantile(U[:, j] * box_mass[j]) for j, mj in enumerate(model.margins)]
         )
@@ -243,6 +253,39 @@ def rejection_oracle(
             total_accepted += hits.shape[0]
         proposed += m
     return np.vstack(accepted)[:num_accepted]
+
+
+def _row_thresholds(model: MaxLinearModel, x, epsilon, box_mass) -> list:
+    """Per row i, its positive columns j and the thresholds
+    tau_ij = F_j((1 - epsilon) x_i / a_ij) / F_j(box_j), each lowered by
+    FILTER_SLACK. Within the box, z_j = Q_j(U_j F_j(box_j)) reaches
+    (1 - epsilon) x_i / a_ij only if U_j >= tau_ij, so a proposal whose
+    row i has no such column leaves X_i below (1 - epsilon) x_i. A column
+    with no mass in its box gets the threshold 0, which screens nothing."""
+    thresholds = []
+    for i, row in enumerate(model.A):
+        cols = np.flatnonzero(row > 0)
+        reach = (1.0 - epsilon) * x[i] / row[cols]
+        mass = np.array([model.margins[j].cdf(t) for j, t in zip(cols, reach)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = mass / box_mass[cols] * (1.0 - FILTER_SLACK)
+        thresholds.append((cols, np.where(box_mass[cols] > 0.0, tau, 0.0)))
+    return thresholds
+
+
+def _may_accept(U, thresholds) -> np.ndarray:
+    """Mask of the proposals (rows of ``U``) whose every row of the model
+    has a column j with U_j >= tau_ij: one compare and OR per positive
+    entry on the columns of ``U``, then one AND per row."""
+    Ut = U.T
+    keep = np.ones(U.shape[0], dtype=bool)
+    reached = np.empty(U.shape[0], dtype=bool)
+    for cols, tau in thresholds:
+        reached[:] = False
+        for j, t in zip(cols, tau):
+            reached |= Ut[j] >= t
+        keep &= reached
+    return keep
 
 
 # --- instances ---------------------------------------------------------------

@@ -11,7 +11,6 @@ the observations exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -67,13 +66,14 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 def _truncated_matrix(
-    margins: Sequence[MarginSpec],
+    groups,
     bounds: np.ndarray,
     gen: np.random.Generator,
     num: int,
 ) -> np.ndarray:
-    """(num, len(bounds)) draws; column j follows margins[j] conditioned
-    on lying strictly inside (0, bounds[j]).
+    """(num, len(bounds)) draws; column j follows its margin, of the
+    grouping ``groups = (kinds, label)``, conditioned on lying strictly
+    inside (0, bounds[j]).
 
     Drawn in hazard form, as the quantile at exp(-(h_j - log U)) with
     h_j = -log F_j(bounds[j]), so a bound far in the lower tail, where
@@ -81,23 +81,26 @@ def _truncated_matrix(
     (len(bounds), num) buffer is filled with U block by block of
     BLOCK_ELEMENTS with ``gen.random(out=block)``, in block order, which
     draws the stream one ``gen.random(buf.shape)`` would; each block is
-    mapped in place while it is in cache: log U, h - log U, the quantile,
-    and the clamp into [nextafter(0, 1), nextafter(b, 0)]. A draw that
-    raises has used the stream up to the end of the block that failed. The
-    result is the buffer's transpose, a column-major (num, len(bounds))
-    matrix. The exact value lies in [0, b]: only rounding puts it on b,
-    and nextafter(b, 0) is the exact value rounded toward zero; only
-    U = 0 or underflow puts it on 0. At unit Frechet and b = 1e-20 the
-    whole law lies within 1e-20 of b (relative), far inside one ulp, so
-    every value is nextafter(b, 0).
+    mapped in place while it is in cache: log U, h - log U, the quantile
+    (each margin kind writes into the block itself), and the clamp into
+    [nextafter(0, 1), nextafter(b, 0)]. After the upper clamp one
+    reduction, the block's minimum, both finds a NaN and tells whether the
+    lower clamp has anything to move: it runs only on a block holding a
+    value below nextafter(0, 1). A draw that raises has used the stream up
+    to the end of the block that failed. The result is the buffer's
+    transpose, a column-major (num, len(bounds)) matrix. The exact value
+    lies in [0, b]: only rounding puts it on b, and nextafter(b, 0) is the
+    exact value rounded toward zero; only U = 0 or underflow puts it on 0.
+    At unit Frechet and b = 1e-20 the whole law lies within 1e-20 of b
+    (relative), far inside one ulp, so every value is nextafter(b, 0).
 
     Raises
     ------
     ZeroMassBelowBoundError
         if the log-CDF at a bound is -inf or a quantile is NaN.
     """
-    kinds, label = margin_groups(margins)
-    log_f = _columnwise((kinds, label), "log_cdf", bounds)
+    kinds, label = groups
+    log_f = _columnwise(groups, "log_cdf", bounds)
     empty = np.flatnonzero(log_f == -np.inf)
     if empty.size:
         raise _at_column(
@@ -118,15 +121,16 @@ def _truncated_matrix(
         with np.errstate(divide="ignore"):
             np.log(block, out=block)
         np.subtract(hazard[rows], block, out=block)
-        # the quantile may be block itself; the first clamp writes it there
-        quantile = _columnwise((kinds, label[rows]), "_hazard_quantile", block.T).T
-        np.minimum(quantile, below[rows], out=block)
-        np.maximum(block, tiny, out=block)
-        if np.isnan(block.max()):  # the clamps pass NaN through
+        _columnwise((kinds, label[rows]), "_hazard_quantile", block.T, out=block.T)
+        np.minimum(block, below[rows], out=block)
+        low = block.min()
+        if np.isnan(low):  # the clamps pass NaN through
             j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
             raise _at_column(
                 ZeroMassBelowBoundError, f"quantile of column {{column}} is NaN below {bounds[j]}", j
             )
+        if low < tiny:
+            np.maximum(block, tiny, out=block)
     return buf.T
 
 
@@ -143,6 +147,13 @@ def _pick_atoms(law: ConditionalLaw, gen: np.random.Generator, num: int) -> np.n
     return cols[np.clip(np.searchsorted(cum, u, side="right"), starts, last)]
 
 
+def _sole_atoms(law: ConditionalLaw) -> np.ndarray:
+    """The columns that are their class's only candidate atom. Each is at
+    zhat in every draw, so its truncated draw is overwritten: drawn below
+    +inf, it needs no mass below zhat, and it uses the stream as before."""
+    return np.array([J[0] for J in law.structure.J if J.size == 1], dtype=np.intp)
+
+
 def draw_conditional_batch(
     law: ConditionalLaw, num: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +162,9 @@ def draw_conditional_batch(
     The classes are independent and their J_bar sets partition the
     columns, so a batch takes two uniform matrices. The first picks the
     atom of every class in every draw (:func:`_pick_atoms`). The second
-    draws every column below its bound; the picked atoms then overwrite
-    their columns with zhat.
+    draws every column below its bound (a class's only candidate below
+    +inf, see :func:`_sole_atoms`); the picked atoms then overwrite their
+    columns with zhat.
 
     Returns (Z, chosen) with shapes (num, p) and (num, rank); Z is
     column-major (``Z.T`` is C-contiguous), one contiguous column per
@@ -164,7 +176,9 @@ def draw_conditional_batch(
     _check_design_size(num, law.z_hat.size, f"num={num}: Z")
     gen = _as_generator(rng)
     chosen = _pick_atoms(law, gen, num)
-    Z = _truncated_matrix(law.margins, law.z_hat, gen, num)
+    bounds = law.z_hat.copy()
+    bounds[_sole_atoms(law)] = np.inf
+    Z = _truncated_matrix(law.groups, bounds, gen, num)
     Z[np.arange(num)[:, None], chosen] = law.z_hat[chosen]
     return Z, chosen
 
@@ -191,8 +205,14 @@ class PredictionTask:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    Z: np.ndarray  # (num_samples, p), column-major
-    Y: np.ndarray  # (num_samples, m)
+    """The draws of a :class:`PredictionTask`: ``Z`` (num_samples, p) and
+    ``Y = B (max-times) Z`` (num_samples, m), both column-major (``Z.T`` and
+    ``Y.T`` are C-contiguous, one contiguous column per factor or row of
+    ``B``); the law of the conditioned columns, and which columns of ``A``
+    were conditioned and which free."""
+
+    Z: np.ndarray
+    Y: np.ndarray
     law: ConditionalLaw
     conditioned_columns: np.ndarray
     free_columns: np.ndarray
@@ -256,7 +276,11 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     chosen = cond[_pick_atoms(law, gen, num)]
     upper = np.full(A.shape[1], np.inf)
     upper[cond] = law.z_hat
-    Z = _truncated_matrix(task.margins, upper, gen, num)
+    bounds = upper.copy()
+    bounds[cond[_sole_atoms(law)]] = np.inf
+    # with every column observed, the law's grouping is that of task.margins
+    groups = margin_groups(task.margins) if free.size else law.groups
+    Z = _truncated_matrix(groups, bounds, gen, num)
     Z[np.arange(num)[:, None], chosen] = upper[chosen]
     Y = max_linear_apply_batch(B, Z, upper=upper, floor=row_floors(law, B_cond))
     # Y >= 0, so a row of B overflowed iff its column's maximum is inf

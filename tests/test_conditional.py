@@ -23,6 +23,7 @@ from maxlinear.errors import (
     TooLargeForBruteForceError,
 )
 from maxlinear.hitting import _decompose_checked
+from maxlinear.margins import margin_groups
 from maxlinear.oracles import (
     enumerate_relevant_scenarios,
     factorization_gap,
@@ -55,7 +56,7 @@ def test_symmetric_two_candidate_weights():
     assert law.rank == 1
     assert np.allclose(law.weights[0], [0.5, 0.5])
     # general-density path agrees
-    general = class_weights(law.structure, model.margins)
+    general = class_weights(law.structure, margin_groups(model.margins))
     assert np.allclose(general[0], [0.5, 0.5], atol=1e-14)
 
 
@@ -77,7 +78,7 @@ def test_frechet_weight_ratios():
     s = _two_candidate_structure([1.0, 2.0])
     for alpha, expected in ((1.0, [2.0 / 3.0, 1.0 / 3.0]), (2.0, [0.8, 0.2])):
         assert np.allclose(frechet_weights(s, alpha, 1.0)[0], expected)
-        general = class_weights(s, (standard_frechet(alpha),) * 2)
+        general = class_weights(s, margin_groups((standard_frechet(alpha),) * 2))
         assert np.allclose(general[0], expected)
 
 
@@ -106,7 +107,7 @@ def test_frechet_shortcut_with_scales():
     margins = (Frechet(alpha=2.0, scale=1.5), Frechet(alpha=2.0, scale=1.5))
     s = _two_candidate_structure([1.0, 2.0])
     closed = frechet_weights(s, 2.0, 1.5)
-    general = class_weights(s, margins)
+    general = class_weights(s, margin_groups(margins))
     assert np.allclose(closed[0], general[0], atol=1e-12)
 
 
@@ -236,7 +237,7 @@ def test_scenario_law_matches_class_factorization(seed, pool):
     law = scenario_probabilities(
         enumerate_relevant_scenarios(s.H), model.margins, s.z_hat
     )
-    cw = class_weights(s, model.margins)
+    cw = class_weights(s, margin_groups(model.margins))
     pos = [{int(j): w for j, w in zip(js, ws)} for js, ws in zip(s.J, cw)]
     for scen, prob in zip(law.scenarios, law.probabilities):
         expected = 1.0

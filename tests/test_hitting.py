@@ -492,13 +492,14 @@ def _pass_instance(seed, n, blocks, side, fault, x_fault):
     rel_tol=st.sampled_from(REL_TOLS),
 )
 # a NaN on either side of the first block edge; an overflow with a bad x;
-# a zero row with a bad rel_tol; exact hits only
+# a zero row with a bad rel_tol; exact hits only; signed zeros
 @example(seed=1, n=50, blocks=3, side=0, fault="nan", x_fault=None, rel_tol=1e-9)
 @example(seed=1, n=50, blocks=3, side=1, fault="nan", x_fault=None, rel_tol=1e-9)
 @example(seed=2, n=7, blocks=2, side=1, fault="overflow", x_fault="size", rel_tol=1e-9)
 @example(seed=3, n=7, blocks=2, side=0, fault="overflow", x_fault=None, rel_tol=1e-9)
 @example(seed=4, n=3, blocks=2, side=0, fault="zero_row", x_fault=None, rel_tol=1.0)
 @example(seed=5, n=20, blocks=3, side=1, fault=None, x_fault=None, rel_tol=0.0)
+@example(seed=6, n=4, blocks=2, side=0, fault="signed_zeros", x_fault=None, rel_tol=1e-9)
 @settings(max_examples=300, deadline=None)
 def test_blocked_pass_matches_the_whole_matrix_formulas(
     seed, n, blocks, side, fault, x_fault, rel_tol

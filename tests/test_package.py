@@ -1,6 +1,7 @@
 """The public import surface, checked in a fresh interpreter, and the bytes
 of the files the package writes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -103,3 +104,16 @@ def test_file_writers_keep_their_bytes(tmp_path):
     assert json.dumps([np.float32(0.5), np.int64(3), np.arange(2)], default=_to_json) == (
         "[0.5, 3, [0, 1]]"
     )
+
+
+def test_mutant_texts_occur_once():
+    # tools/mutants.py applies a mutant by replacing its old text, which
+    # must occur exactly once in its file, so an edit of src/ that moves a
+    # mutated line shows here; the mutant run itself is not part of tier-1
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(names) >= 15 and len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        assert (ROOT / "src" / m.file).read_text().count(m.old) == 1, m.name

@@ -36,6 +36,9 @@ from maxlinear.margins import _columnwise, margin_from_dict, margin_groups
 from maxlinear.marma import simulate_marma_window
 from maxlinear.model import live_entries, max_linear_apply_batch
 from maxlinear.oracles import (
+    REJECTION_BATCH,
+    _may_accept,
+    _row_thresholds,
     ones_lower_triangular_model,
     random_consistent_instance,
     rejection_oracle,
@@ -64,14 +67,14 @@ def test_rng_stream_reproducible_and_split():
 def test_truncated_draw_respects_bound():
     m = standard_frechet(1.0)
     gen = RngStream(1).generator()
-    draws = _truncated_matrix((m,), np.array([0.8]), gen, 500)[:, 0]
+    draws = _truncated_matrix(margin_groups((m,)), np.array([0.8]), gen, 500)[:, 0]
     assert np.all((draws > 0) & (draws < 0.8))
 
 
 def test_truncated_draw_matches_truncated_cdf():
     m = standard_frechet(1.0)
     gen = RngStream(2).generator()
-    draws = _truncated_matrix((m,), np.array([1.0]), gen, 100_000)[:, 0]
+    draws = _truncated_matrix(margin_groups((m,)), np.array([1.0]), gen, 100_000)[:, 0]
     trunc = lambda z: np.exp(-1.0 / np.clip(z, 1e-300, 1.0)) / np.exp(-1.0)
     assert stats.kstest(draws, trunc).statistic < 0.01
 
@@ -79,7 +82,7 @@ def test_truncated_draw_matches_truncated_cdf():
 def test_truncated_draw_unbounded_limit():
     m = standard_frechet(1.0)
     gen = RngStream(3).generator()
-    draws = _truncated_matrix((m,), np.array([1e12]), gen, 100_000)[:, 0]
+    draws = _truncated_matrix(margin_groups((m,)), np.array([1e12]), gen, 100_000)[:, 0]
     assert stats.kstest(draws, lambda z: np.exp(-1.0 / z)).statistic < 0.01
 
 
@@ -87,7 +90,7 @@ def test_truncated_draw_far_in_the_lower_tail():
     # F(1e-3) = exp(-1000) underflows, log F = -1000 does not
     m = standard_frechet(1.0)
     b = 1e-3
-    draws = _truncated_matrix((m,), np.array([b]), RngStream(10).generator(), 100_000)[:, 0]
+    draws = _truncated_matrix(margin_groups((m,)), np.array([b]), RngStream(10).generator(), 100_000)[:, 0]
     assert np.all((draws > 0) & (draws < b))
     trunc = lambda z: np.exp(1.0 / b - 1.0 / np.clip(z, 1e-300, b))
     assert stats.kstest(draws, trunc).statistic < 0.01
@@ -97,20 +100,35 @@ def test_truncated_draw_zero_mass():
     # log F(1e-320) = -1e320 is -inf in floating point
     bounds = np.array([1.0, 1e-320])
     with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
-        _truncated_matrix((standard_frechet(1.0),) * 2, bounds, RngStream(0).generator(), 1)
+        _truncated_matrix(margin_groups((standard_frechet(1.0),) * 2), bounds, RngStream(0).generator(), 1)
     # the worked example at alpha 4 and x = (1, 1, 3) 1e-80: log F(1e-80)
     # = -1e320 is -inf too, yet the mass below zhat is positive, so the
-    # law builds and only the draw raises
+    # law builds and only the draw raises, at column 1, the one non-atom:
+    # columns 0 and 2 are their classes' only candidates (J = [[0], [2]])
     model = validate_model(np.tril(np.ones((3, 3))), [standard_frechet(4.0)] * 3)
     law = conditional_law(model, np.array([1.0, 1.0, 3.0]) * 1e-80)
-    with pytest.raises(ZeroMassBelowBoundError, match="column 0"):
+    assert [J.tolist() for J in law.structure.J] == [[0], [2]]
+    with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
         draw_conditional_batch(law, 1, RngStream(0))
+
+
+def test_a_sole_candidate_atom_needs_no_mass_below_its_bound():
+    # zhat = 1e-310 has log F = -1e310 = -inf, but the one column is its
+    # class's only candidate, at zhat in every draw
+    A, x = np.array([[1e300]]), np.array([1e-10])
+    model = validate_model(A, [standard_frechet(1.0)])
+    Z, _ = draw_conditional_batch(conditional_law(model, x), 5, RngStream(0))
+    assert np.all(Z == 1e-310)
+    result = run_prediction(PredictionTask(
+        A=A, B=np.ones((1, 1)), margins=model.margins, x=x, num_samples=5, seed=0,
+    ))
+    assert np.all(result.Z == 1e-310) and np.all(result.Y == 1e-310)
 
 
 def test_truncated_matrix_heterogeneous_path():
     margins = (standard_frechet(1.0), standard_frechet(2.0))
     gen = RngStream(9).generator()
-    vals = _truncated_matrix(margins, np.array([0.7, 1.3]), gen, 400)
+    vals = _truncated_matrix(margin_groups(margins), np.array([0.7, 1.3]), gen, 400)
     assert vals.shape == (400, 2)
     assert np.all(vals[:, 0] < 0.7) and np.all(vals[:, 1] < 1.3)
     assert np.all(vals > 0)
@@ -120,7 +138,7 @@ def test_truncated_matrix_blocks_match_one_pass():
     # 700 samples put 46 columns in a block, so 120 columns take three
     margins = tuple(Frechet(2.0, 0.5) if j % 3 else standard_frechet(1.0) for j in range(120))
     bounds = RngStream(5).generator().uniform(0.5, 3.0, 120)
-    vals = _truncated_matrix(margins, bounds, RngStream(6).generator(), 700)
+    vals = _truncated_matrix(margin_groups(margins), bounds, RngStream(6).generator(), 700)
     hazard = -_columnwise(margin_groups(margins), "log_cdf", bounds)[:, None]
     h = hazard - np.log(RngStream(6).generator().random((120, 700)))
     assert np.array_equal(vals, _columnwise(margin_groups(margins), "_hazard_quantile", h.T))
@@ -160,7 +178,7 @@ class _QuantileOnly(MarginSpec):
 def test_a_margin_with_only_a_quantile_draws_through_it():
     # the default hazard kernel: one quantile call at exp(-h) per block
     m, bounds = _QuantileOnly(), np.array([0.5, 2.0, 7.0])
-    vals = _truncated_matrix((m,) * 3, bounds, RngStream(3).generator(), 200)
+    vals = _truncated_matrix(margin_groups((m,) * 3), bounds, RngStream(3).generator(), 200)
     h = -np.log(m.cdf(bounds))[:, None] - np.log(RngStream(3).generator().random((3, 200)))
     assert len(m.calls) == 1 and np.array_equal(m.calls[0], np.exp(-h))
     assert np.array_equal(vals.T, standard_frechet(1.0).quantile(np.exp(-h)))
@@ -171,12 +189,32 @@ def test_truncated_matrix_clamps_to_the_bound():
     # every row; a NaN from a custom margin names its column
     bounds = np.array([1.0, 0.8])
     stuck = (standard_frechet(1.0), _FixedQuantile(0.8))
-    vals = _truncated_matrix(stuck, bounds, RngStream(4).generator(), 50)
+    vals = _truncated_matrix(margin_groups(stuck), bounds, RngStream(4).generator(), 50)
     assert np.all(vals[:, 1] == np.nextafter(0.8, 0.0))
     assert np.all((vals[:, 0] > 0) & (vals[:, 0] < 1.0))
     broken = (standard_frechet(1.0), _FixedQuantile(np.nan))
     with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
-        _truncated_matrix(broken, bounds, RngStream(4).generator(), 50)
+        _truncated_matrix(margin_groups(broken), bounds, RngStream(4).generator(), 50)
+    # a value on or below 0 becomes the least positive float, in every row:
+    # a quantile of 0 or of -1, and a Frechet value at U = 0 (log U = -inf)
+    tiny = np.nextafter(0.0, 1.0)
+    for margin, gen in ((_FixedQuantile(0.0), RngStream(4).generator()),
+                        (_FixedQuantile(-1.0), RngStream(4).generator()),
+                        (standard_frechet(1.0), _ZeroGenerator())):
+        vals = _truncated_matrix(margin_groups((margin,)), np.array([1.0]), gen, 50)
+        assert np.all(vals == tiny)
+
+
+class _ZeroGenerator(np.random.Generator):
+    """A generator whose uniforms are all exactly 0."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def random(self, *args, out=None, **kwargs):
+        out = super().random(*args, out=out, **kwargs)
+        out[...] = 0.0
+        return out
 
 
 class _CountingGenerator(np.random.Generator):
@@ -201,7 +239,7 @@ def test_nan_in_the_first_of_three_blocks_stops_the_fills():
     margins = (standard_frechet(1.0), _FixedQuantile(np.nan)) + (standard_frechet(1.0),) * 118
     gen, ref = _CountingGenerator(4), np.random.Generator(np.random.PCG64(4))
     with pytest.raises(ZeroMassBelowBoundError, match="column 1"):
-        _truncated_matrix(margins, PIPELINE_BOUNDS, gen, 700)
+        _truncated_matrix(margin_groups(margins), PIPELINE_BOUNDS, gen, 700)
     assert gen.calls == 1
     ref.random((46, 700))
     assert gen.random() == ref.random()
@@ -209,7 +247,7 @@ def test_nan_in_the_first_of_three_blocks_stops_the_fills():
 
 def test_block_fills_leave_the_stream_where_one_call_does():
     gen, ref = _CountingGenerator(7), np.random.Generator(np.random.PCG64(7))
-    _truncated_matrix((standard_frechet(1.0),) * 120, PIPELINE_BOUNDS, gen, 700)
+    _truncated_matrix(margin_groups((standard_frechet(1.0),) * 120), PIPELINE_BOUNDS, gen, 700)
     assert gen.calls == 3
     ref.random((120, 700))
     assert gen.random() == ref.random()
@@ -240,9 +278,9 @@ def test_truncated_values_lie_strictly_inside(seed, log10_bounds, alpha, scale, 
     log_f = _columnwise(margin_groups(margins), "log_cdf", bounds)
     if np.any(log_f == -np.inf):
         with pytest.raises(ZeroMassBelowBoundError):
-            _truncated_matrix(margins, bounds, RngStream(seed).generator(), 40)
+            _truncated_matrix(margin_groups(margins), bounds, RngStream(seed).generator(), 40)
         return
-    vals = _truncated_matrix(margins, bounds, RngStream(seed).generator(), 40)
+    vals = _truncated_matrix(margin_groups(margins), bounds, RngStream(seed).generator(), 40)
     assert np.all(np.isfinite(vals)) and np.all((vals > 0) & (vals < bounds))
     with np.errstate(divide="ignore"):
         log_u = np.log(RngStream(seed).generator().random((bounds.size, 40)))
@@ -491,6 +529,65 @@ def test_rejection_oracle_basics():
     assert np.all(acc <= z_cap * (1 + 1e-12))
 
 
+def _exact_accepts(model, x, epsilon, U, box_mass):
+    """The rejection oracle's exact test on every proposal, unscreened:
+    the quantiles at U F_j(box_j), the map, and |X - x| <= epsilon x."""
+    Z = np.column_stack([m.quantile(U[:, j] * box_mass[j]) for j, m in enumerate(model.margins)])
+    X = np.column_stack([(Z * row).max(axis=1) for row in model.A])
+    return Z, (np.abs(X - x) <= epsilon * x).all(axis=1)
+
+
+@pytest.mark.parametrize("n, p, epsilon", [(3, 3, 0.05), (2, 4, 0.1), (3, 6, 0.1)])
+def test_rejection_oracle_accepts_what_the_unscreened_loop_accepts(n, p, epsilon):
+    # the same stream, batch by batch, with the exact test on every proposal
+    if n == p == 3:
+        model, x = ones_lower_triangular_model(), np.array([1.0, 1.0, 3.0])
+    else:
+        model, x, _ = random_consistent_instance(RngStream(n).generator(), n, p)
+    got = rejection_oracle(model, x, epsilon, 300, RngStream(7))
+    box_mass = np.array([m.cdf(b) for m, b in zip(
+        model.margins, (1.0 + epsilon) * compute_upper_bounds(model, x))])
+    gen, accepted = RngStream(7).generator(), []
+    while sum(map(len, accepted)) < 300:
+        Z, ok = _exact_accepts(model, x, epsilon, gen.random((REJECTION_BATCH, model.p)), box_mass)
+        accepted.append(Z[ok])
+    assert np.array_equal(got, np.vstack(accepted)[:300])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    p=st.integers(1, 7),
+    epsilon=st.floats(0.0, 0.1, exclude_min=True),
+)
+@settings(max_examples=100, deadline=None)
+def test_rejection_pre_filter_never_drops_an_accepted_proposal(seed, n, p, epsilon):
+    gen = np.random.default_rng(seed)
+    model, x, _ = random_consistent_instance(gen, n, p)
+    box = (1.0 + epsilon) * compute_upper_bounds(model, x)
+    box_mass = np.array([m.cdf(b) for m, b in zip(model.margins, box)])
+    # u_ij, the least uniform at which a_ij z_j reaches (1 - epsilon) x_i,
+    # computed here without slack (inf where a_ij = 0)
+    with np.errstate(divide="ignore"):
+        reach = (1.0 - epsilon) * x[:, None] / model.A
+    u = np.array([m.cdf(reach[:, j]) / box_mass[j] for j, m in enumerate(model.margins)]).T
+    top = np.array([col[col <= 1.0].max(initial=0.0) for col in u.T])
+    # proposals: plain uniforms; uniforms above every reachable u_ij of
+    # their column, which the exact test mostly accepts; and some entries
+    # within a few ulps of a u_ij
+    num = 3000
+    U = gen.random((num, p))
+    high = top + (1.0 - top) * gen.random((num, p))
+    U[: num // 3] = high[: num // 3]
+    edge = u[gen.integers(n, size=(num, p)), np.arange(p)]
+    edge *= 1.0 + 2.0**-52 * gen.integers(-4, 5, size=(num, p))
+    pick = (np.arange(num)[:, None] >= 2 * num // 3) & (edge <= 1.0) & (gen.random((num, p)) < 0.5)
+    U[pick] = edge[pick]
+    _, accepted = _exact_accepts(model, x, epsilon, U, box_mass)
+    kept = _may_accept(U, _row_thresholds(model, x, epsilon, box_mass))
+    assert not np.any(accepted & ~kept)
+
+
 def test_rejection_oracle_budget_error():
     model = ones_lower_triangular_model()
     with pytest.raises(AcceptanceTooRareError) as err:
@@ -530,9 +627,9 @@ def test_run_prediction_with_free_columns():
 
 @pytest.mark.parametrize("p_free", [0, 2])
 def test_one_request_groups_the_margins_once_per_layer(monkeypatch, p_free):
-    # once for the class weights (the conditioned columns) and once for the
-    # one truncated draw of every column, never per draw block: 20,000
-    # samples put one column in a block
+    # once, in conditional_law, for the class weights and for the one
+    # truncated draw; with free columns the draw groups all of them once
+    # more. Never per draw block: 20,000 samples put one column in a block
     seen = []
 
     def counted(margins):
@@ -547,7 +644,7 @@ def test_one_request_groups_the_margins_once_per_layer(monkeypatch, p_free):
         A=A, B=np.ones((2, A.shape[1])), margins=(kinds * 2)[: A.shape[1]],
         x=np.array([1.0, 1.0, 3.0]), num_samples=20_000, seed=5,
     ))
-    assert seen == [3, 3 + p_free]
+    assert seen == ([3, 5] if p_free else [3])
 
 
 def test_free_factors_are_independent_of_the_conditioned_ones():
@@ -599,6 +696,8 @@ def test_sample_matrix_is_column_major(p_free):
     ))
     assert result.free_columns.size == p_free
     assert result.Z.shape == (7, A.shape[1]) and result.Z.T.flags.c_contiguous
+    # and so is Y, one contiguous column per row of B
+    assert result.Y.shape == (7, 2) and result.Y.T.flags.c_contiguous
 
 
 def test_run_prediction_shape_errors():
@@ -775,8 +874,9 @@ def test_an_all_zero_A_is_reported_as_validate_model_does(A):
     ([[0.0, 1.0, 1.0]], 1.0, (standard_frechet(1.0),) * 2
      + (TabulatedContinuous([2.0, 4.0], [0.5, 0.5]),),
      InconsistentObservationError, "column 2 has no mass below"),
-    # log F(1e-80) = -1e320 is -inf at alpha = 4
-    ([[0.0, 1.0]], 1e-80, (Frechet(4.0),) * 2, ZeroMassBelowBoundError, "of column 1:"),
+    # log F(1e-80) = -1e320 is -inf at alpha = 4; columns 1 and 2 are
+    # both candidates, so neither is at zhat in every draw
+    ([[0.0, 1.0, 1.0]], 1e-80, (Frechet(4.0),) * 3, ZeroMassBelowBoundError, "of column 1:"),
     # the draw of the free columns 0 and 2
     ([[0.0, 1.0, 0.0]], 1.0, (standard_frechet(1.0),) * 2 + (_FixedQuantile(np.nan),),
      ZeroMassBelowBoundError, "quantile of column 2 "),
