@@ -265,7 +265,10 @@ def _row_thresholds(model: MaxLinearModel, x, epsilon, box_mass) -> list:
     thresholds = []
     for i, row in enumerate(model.A):
         cols = np.flatnonzero(row > 0)
-        reach = (1.0 - epsilon) * x[i] / row[cols]
+        # a reach past the float64 range is inf, whose threshold 1 / F_j(box_j)
+        # no uniform meets, as no z_j in the box reaches it
+        with np.errstate(over="ignore"):
+            reach = (1.0 - epsilon) * x[i] / row[cols]
         mass = np.array([model.margins[j].cdf(t) for j, t in zip(cols, reach)])
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = mass / box_mass[cols] * (1.0 - FILTER_SLACK)
@@ -277,13 +280,12 @@ def _may_accept(U, thresholds) -> np.ndarray:
     """Mask of the proposals (rows of ``U``) whose every row of the model
     has a column j with U_j >= tau_ij: one compare and OR per positive
     entry on the columns of ``U``, then one AND per row."""
-    Ut = U.T
     keep = np.ones(U.shape[0], dtype=bool)
     reached = np.empty(U.shape[0], dtype=bool)
     for cols, tau in thresholds:
         reached[:] = False
         for j, t in zip(cols, tau):
-            reached |= Ut[j] >= t
+            reached |= U[:, j] >= t
         keep &= reached
     return keep
 

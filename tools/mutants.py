@@ -136,8 +136,8 @@ MUTANTS = (
            ("tests/test_cli.py::test_malformed_input_files_exit_nonzero",)),
     # the rejection oracle's pre-filter
     Mutant("pre-filter thresholds at (1 + epsilon) x", ORACLES,
-           "        reach = (1.0 - epsilon) * x[i] / row[cols]\n",
-           "        reach = (1.0 + epsilon) * x[i] / row[cols]\n",
+           "            reach = (1.0 - epsilon) * x[i] / row[cols]\n",
+           "            reach = (1.0 + epsilon) * x[i] / row[cols]\n",
            ("tests/test_sampler.py::test_rejection_pre_filter_never_drops_an_accepted_proposal",)),
 )
 
