@@ -33,7 +33,7 @@ from .errors import (
 )
 from .experiments import coverage_experiment, projection_bias_experiment, summarize
 from .hitting import DEFAULT_REL_TOL, HittingStructure, hitting_structure
-from .margins import Frechet, MarginSpec, TabulatedContinuous, standard_frechet
+from .margins import Frechet, MarginSpec, TabulatedContinuous, margin_groups, standard_frechet
 from .marma import (
     MarmaSpec,
     load_marma_spec,
@@ -92,6 +92,7 @@ __all__ = [
     "load_marma_spec",
     "load_model",
     "load_smith_spec",
+    "margin_groups",
     "marma_coefficients",
     "marma_design",
     "projection_bias_experiment",

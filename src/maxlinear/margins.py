@@ -253,19 +253,15 @@ def _columnwise(groups, method: str, values, out=None) -> np.ndarray:
     """``kinds[label[j]].<method>`` applied to ``values[..., j]`` for every j,
     one vectorized call per kind that has a column there, with
     ``(kinds, label) = groups``. A method that works in place, like
-    ``_hazard_quantile``, may overwrite ``values``. The result goes to
-    ``out`` if one is given (it may be ``values`` itself), else to a new
-    array."""
+    ``_hazard_quantile``, may overwrite ``values``. A single kind returns
+    its method's result; several kinds scatter theirs into ``out`` if one
+    is given (it may be ``values`` itself), else into a new array."""
     # on values.T, whose first axis indexes the columns: for a column-major
     # sample matrix every kind gathers and scatters whole contiguous columns
     kinds, label = groups
     vt = np.asarray(values, dtype=float).T
     if len(kinds) == 1:
-        result = getattr(kinds[0], method)(vt)
-        if out is None:
-            return np.asarray(result, dtype=float).T
-        out.T[...] = result  # no copy where the method wrote into out itself
-        return out
+        return np.asarray(getattr(kinds[0], method)(vt), dtype=float).T
     ot = np.empty(vt.shape) if out is None else out.T
     for k, margin in enumerate(kinds):
         cols = np.flatnonzero(label == k)

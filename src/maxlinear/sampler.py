@@ -82,7 +82,8 @@ def _truncated_matrix(
     BLOCK_ELEMENTS with ``gen.random(out=block)``, in block order, which
     draws the stream one ``gen.random(buf.shape)`` would; each block is
     mapped in place while it is in cache: log U, h - log U, the quantile
-    (each margin kind writes into the block itself), and the clamp into
+    (several margin kinds scatter theirs into the block itself, and an
+    in-place kernel such as Frechet's needs no scatter), and the clamp into
     [nextafter(0, 1), nextafter(b, 0)]. After the upper clamp one
     reduction, the block's minimum, both finds a NaN and tells whether the
     lower clamp has anything to move: it runs only on a block holding a
@@ -121,8 +122,9 @@ def _truncated_matrix(
         with np.errstate(divide="ignore"):
             np.log(block, out=block)
         np.subtract(hazard[rows], block, out=block)
-        _columnwise((kinds, label[rows]), "_hazard_quantile", block.T, out=block.T)
-        np.minimum(block, below[rows], out=block)
+        # the quantile may be block itself; the upper clamp writes it there
+        quantile = _columnwise((kinds, label[rows]), "_hazard_quantile", block.T, out=block.T).T
+        np.minimum(quantile, below[rows], out=block)
         low = block.min()
         if np.isnan(low):  # the clamps pass NaN through
             j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]

@@ -43,7 +43,8 @@ missing = sorted(f"{m}.{a}" for m, a, *_ in points + stages
 spans = {s for _, _, s in points}
 covered = {s for m, a, s in points if hasattr(getattr(maxlinear, m), a)}
 print(json.dumps({"loaded": loaded, "size": len(maxlinear.__all__), "unresolved": unresolved,
-                  "missing": missing, "uncovered_spans": sorted(spans - covered)}))
+                  "missing": missing, "uncovered_spans": sorted(spans - covered),
+                  "weights": [n in maxlinear.__all__ for n in ("class_weights", "margin_groups")]}))
 """
 
 
@@ -59,6 +60,8 @@ def test_import_surface(tmp_path):
     # the package imports (the probe ran) without the resource module
     assert doc["loaded"] == []
     assert doc["size"] <= 50 and doc["unresolved"] == []
+    # class_weights takes the pair margin_groups returns, so both are public
+    assert doc["weights"] == [True, True]
     # the points with no attribute to wrap: the Frechet weight shortcut,
     # whose span conditional.weights is covered by class_weights; the two
     # hitting stages that hitting_structure replaced, so the harness times

@@ -123,6 +123,13 @@ def test_a_sole_candidate_atom_needs_no_mass_below_its_bound():
         A=A, B=np.ones((1, 1)), margins=model.margins, x=x, num_samples=5, seed=0,
     ))
     assert np.all(result.Z == 1e-310) and np.all(result.Y == 1e-310)
+    # behind a free column: column 1 of A is column 0 of the law, where
+    # log F(1e-80) = -1e320 is -inf at alpha = 4
+    result = run_prediction(PredictionTask(
+        A=np.array([[0.0, 1.0]]), B=np.ones((1, 2)), margins=(Frechet(4.0),) * 2,
+        x=np.array([1e-80]), num_samples=5, seed=0,
+    ))
+    assert np.all(result.Z[:, 1] == 1e-80) and np.all(result.Z[:, 0] > 1e-80)
 
 
 def test_truncated_matrix_heterogeneous_path():

@@ -1,16 +1,18 @@
 """Run the committed mutants of the library against the tests meant to kill them.
 
-    python3 tools/mutants.py --into DIR [--only NAME ...]
+    python3 tools/mutants.py --into DIR
 
 Each entry of :data:`MUTANTS` names a file under ``src/``, an exact ``old``
 text that occurs there once, the ``new`` text that replaces it, and the
 test ids that must fail once it is in. The tool copies ``src/``, ``tests/``
-and ``pyproject.toml`` into ``DIR`` (created if missing, and never inside
-this checkout), runs every named test once on the clean copy, then applies
+and ``pyproject.toml`` into a new directory it makes inside ``DIR`` (``DIR``
+is created if missing and is never inside this checkout; nothing already in
+it is touched), runs every named test once on the clean copy, then applies
 one mutant at a time there, runs its tests in a fresh pytest process and
-restores the file. It prints one line per mutant, ``killed`` or
-``SURVIVED``, and exits 1 if any mutant survives, 2 if the clean copy
-fails its tests or an ``old`` text does not occur exactly once.
+restores the file; at the end it removes the directory it made. It prints
+one line per mutant, ``killed`` or ``SURVIVED``, and exits 1 if any mutant
+survives, 2 if the clean copy fails its tests or an ``old`` text does not
+occur exactly once.
 
 ``tests/test_package.py::test_mutant_texts_occur_once`` checks every ``old``
 text against ``src/`` in the tier-1 suite, so the list cannot rot; the
@@ -24,6 +26,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -91,6 +94,9 @@ MUTANTS = (
     Mutant("sole atoms drawn below zhat", SAMPLER,
            "    bounds[_sole_atoms(law)] = np.inf\n", "",
            ("tests/test_sampler.py::test_a_sole_candidate_atom_needs_no_mass_below_its_bound",)),
+    Mutant("sole atoms unmapped to A's columns", SAMPLER,
+           "    bounds[cond[_sole_atoms(law)]] = np.inf\n", "    bounds[_sole_atoms(law)] = np.inf\n",
+           ("tests/test_sampler.py::test_a_sole_candidate_atom_needs_no_mass_below_its_bound",)),
     Mutant("every block reads the first block's labels", SAMPLER,
            '_columnwise((kinds, label[rows]), "_hazard_quantile"',
            '_columnwise((kinds, label[: block.shape[0]]), "_hazard_quantile"',
@@ -151,32 +157,33 @@ def _run_tests(into: Path, tests) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--into", required=True, type=Path,
-                        help="directory for the copy; never inside this checkout")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
+                        help="directory to make the copy in; never inside this checkout")
     args = parser.parse_args(argv)
-    into = args.into.resolve()
-    if into == ROOT or ROOT in into.parents:
-        print(f"error: {into} lies inside the checkout {ROOT}", file=sys.stderr)
+    parent = args.into.resolve()
+    if parent == ROOT or ROOT in parent.parents:
+        print(f"error: {parent} lies inside the checkout {ROOT}", file=sys.stderr)
         return 2
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"error: no mutant named {sorted(unknown)}", file=sys.stderr)
-        return 2
-    into.mkdir(parents=True, exist_ok=True)
+    parent.mkdir(parents=True, exist_ok=True)
+    into = Path(tempfile.mkdtemp(prefix="mutants-", dir=parent))
+    try:
+        return _run_mutants(into)
+    finally:
+        shutil.rmtree(into)  # the tool's own copy, and nothing else
+
+
+def _run_mutants(into: Path) -> int:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for tree in ("src", "tests"):
-        shutil.rmtree(into / tree, ignore_errors=True)
         shutil.copytree(ROOT / tree, into / tree, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 
     start = time.perf_counter()
-    clean = sorted({t for m in mutants for t in m.tests})
+    clean = sorted({t for m in MUTANTS for t in m.tests})
     if _run_tests(into, clean) != 0:
         print("error: the named tests fail on the unmutated copy", file=sys.stderr)
         return 2
     survived = stale = 0
-    for m in mutants:
+    for m in MUTANTS:
         path = into / "src" / m.file
         original = path.read_text()
         if original.count(m.old) != 1:
@@ -193,10 +200,9 @@ def main(argv=None) -> int:
         killed = code in (1, 2)
         survived += not killed
         print(f"{'killed  ' if killed else 'SURVIVED'} {m.name} ({time.perf_counter() - t0:.1f} s)")
-    print(f"{len(mutants) - survived - stale} of {len(mutants)} killed in "
+    print(f"{len(MUTANTS) - survived - stale} of {len(MUTANTS)} killed in "
           f"{time.perf_counter() - start:.0f} s")
     return 2 if stale else int(survived > 0)
-
 
 if __name__ == "__main__":
     sys.exit(main())
