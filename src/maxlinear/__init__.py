@@ -10,7 +10,7 @@ moving-maxima) front ends.
 The brute-force and rejection oracles that check the sampler, and the
 ``validate`` self-check suite, live in ``maxlinear.oracles``.
 Helpers outside ``__all__`` stay reachable in their modules, e.g.
-``maxlinear.hitting.compute_upper_bounds``.
+``maxlinear.model.max_linear_apply_batch``.
 """
 
 from .conditional import ConditionalLaw, class_weights, conditional_law

@@ -80,11 +80,13 @@ def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> Summar
             raise ValueError(f"threshold must not be NaN, got {threshold!r}")
         exceed = (samples > thr).mean(axis=0)
     # each column scaled by a power of two into (-1, 1) for its mean, so a
-    # sum past the float64 range stays finite; exact unless a value underflows
+    # sum past the float64 range stays finite; exact unless a value underflows.
+    # Summed as contiguous rows of the transpose, so the means do not depend
+    # on the memory layout of samples
     _, e = np.frexp(np.maximum(-srt[0], srt[-1]))
     return SummaryTable(
         medians=order_statistic_quantile(srt, 0.5),
-        means=np.ldexp(np.ldexp(samples, -e).mean(axis=0), e),
+        means=np.ldexp(np.ascontiguousarray(np.ldexp(samples, -e).T).mean(axis=1), e),
         quantiles=quantiles,
         exceedance=exceed,
     )

@@ -65,24 +65,9 @@ class HittingStructure:
     rank: int
 
 
-def compute_upper_bounds(model: MaxLinearModel, x) -> np.ndarray:
-    """Componentwise largest z with A (max-times) z <= x.
-
-    zhat_j = min over rows i with A[i,j] > 0 of x_i / A[i,j]; finite and
-    positive under Assumption A.
-
-    Raises
-    ------
-    NumericalOverflowError
-        if some zhat_j = x_i / a_ij exceeds the largest float64.
-    """
-    return _bounds_and_hits(model.A, x, hits=False)[0]
-
-
-def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, hits=True):
+def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL):
     """``(z_hat, H)`` of the coefficient matrix ``A`` at the observation
-    ``x``, in one pass over the column blocks of ``A``; with ``hits=False``
-    H is None.
+    ``x``, in one pass over the column blocks of ``A``.
 
     Per block, a min and a max (no temporary) check that the entries are
     finite and nonnegative, and zhat and H are computed in one reused
@@ -104,7 +89,7 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, hits=True):
         z_hat = np.empty(p)
         # at rel_tol >= 1 every a_ij * zhat_j <= x_i would count as a hit
         tol_ok = _real(rel_tol) and 0.0 <= rel_tol < 1.0
-        H = np.empty((n, p), dtype=bool) if hits and tol_ok else None
+        H = np.empty((n, p), dtype=bool) if tol_ok else None
         xc = x[:, None]
         tol = rel_tol * xc if H is not None else None
         width = _block_width(n)
@@ -138,8 +123,6 @@ def _bounds_and_hits(A, x, rel_tol=DEFAULT_REL_TOL, hits=True):
                     np.subtract(work, xc, out=work)
                     np.abs(work, out=work)
                     np.less_equal(work, tol, out=H[:, cols])
-        if not hits:
-            return z_hat, None
         if H is None:
             raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
         missed = ~H.any(axis=1)

@@ -242,7 +242,7 @@ def margin_groups(margins: Sequence[MarginSpec]) -> tuple[tuple, np.ndarray]:
     """``(kinds, label)``: the distinct margins, and for each column the index
     of its margin in ``kinds``; equal margins are one kind. The one grouping
     rule: callers pass the pair, or ``(kinds, label[cols])``, to _columnwise."""
-    if margins.count(margins[0]) == len(margins):
+    if margins and margins.count(margins[0]) == len(margins):
         return (margins[0],), np.zeros(len(margins), dtype=np.intp)
     kinds: dict[MarginSpec, int] = {}
     label = [kinds.setdefault(m, len(kinds)) for m in margins]

@@ -4,10 +4,11 @@ of the acceptance criteria built on them.
 The oracles are the brute-force scenario mixture (``ScenarioLaw``, by
 exhaustive minimum-cover enumeration, exponential in general) and a
 rejection sampler that shares none of the sampler's law or draw code
-(it does use the max-times map and the upper bounds). Acceptance
-criteria 1-4 have one check each, which ``tests/test_acceptance.py``
-calls with pinned arguments and :func:`validate_suite` with the command
-line's seed, trial count and epsilon.
+(it does use the max-times map and the upper bounds of
+``hitting_structure``). Acceptance criteria 1-4 have one check each,
+which ``tests/test_acceptance.py`` calls with pinned arguments and
+:func:`validate_suite` with the command line's seed, trial count and
+epsilon.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     _real,
 )
 from .experiments import derived_seed
-from .hitting import DEFAULT_REL_TOL, compute_upper_bounds, hitting_structure
+from .hitting import DEFAULT_REL_TOL, hitting_structure
 from .margins import MarginSpec, _columnwise, margin_groups, standard_frechet
 from .model import (
     MaxLinearModel,
@@ -197,11 +198,12 @@ def rejection_oracle(
     observation space, which matches the exact law only in the limit;
     keep epsilon small.
 
-    Every accepted z lies in the box z_j <= (1 + epsilon) zhat_j, so the
-    proposals are drawn from the margins truncated to that box, as
-    Q_j(U F_j((1 + epsilon) zhat_j)), with each margin's own ``cdf`` and
-    ``quantile``. That is an exact rejection sampler of the same target,
-    with far fewer proposals than drawing from the untruncated margins.
+    Every accepted z lies in the box z_j <= (1 + epsilon) zhat_j, with
+    zhat from :func:`hitting_structure`, so the proposals are drawn from
+    the margins truncated to that box, as Q_j(U F_j((1 + epsilon) zhat_j)),
+    with each margin's own ``cdf`` and ``quantile``. That is an exact
+    rejection sampler of the same target, with far fewer proposals than
+    drawing from the untruncated margins.
     The uniforms are screened before anything else is computed: a
     proposal passes the exact test only if every row has a positive
     column with U_j at least the threshold of :func:`_row_thresholds`, so
@@ -218,6 +220,9 @@ def rejection_oracle(
     AcceptanceTooRareError
         if ``max_proposals`` proposals are exhausted first; the error
         carries the observed acceptance rate.
+    MaxLinearError
+        as :func:`hitting_structure` raises it, e.g. for an ``x`` outside
+        the model range.
     """
     if not (_real(epsilon) and 0.0 < epsilon <= 0.1):
         raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon!r}")
@@ -225,7 +230,7 @@ def rejection_oracle(
     max_proposals = _integer("max_proposals", max_proposals, 1)
     x = validate_observations(x, model.n)
     gen = _as_generator(rng)
-    box = (1.0 + epsilon) * compute_upper_bounds(model, x)
+    box = (1.0 + epsilon) * hitting_structure(model, x).z_hat
     box_mass = np.array([m.cdf(b) for m, b in zip(model.margins, box)])
     thresholds = _row_thresholds(model, x, epsilon, box_mass)
     accepted: list[np.ndarray] = []
@@ -335,10 +340,10 @@ def check_worked_examples(seed: int) -> dict:
     Returns {"cases": {"1,2,3": ok, ...}, "draw_patterns": ok}.
     """
     model = ones_lower_triangular_model()
+    laws = [conditional_law(model, np.array(x)) for x, _, _ in WORKED_EXAMPLES]
     cases = {}
-    for x, H_want, scen_want in WORKED_EXAMPLES:
-        x = np.array(x)
-        s = hitting_structure(model, x)
+    for law, (x, H_want, scen_want) in zip(laws, WORKED_EXAMPLES):
+        s = law.structure
         label = ",".join(f"{v:g}" for v in x)
         cases[label] = bool(
             np.array_equal(s.z_hat, x)
@@ -346,8 +351,8 @@ def check_worked_examples(seed: int) -> dict:
             and enumerate_relevant_scenarios(s.H) == scen_want
         )
     Z_i, Z_ii, Z_iii = (
-        draw_conditional_batch(conditional_law(model, np.array(x)), num, RngStream(seed, k))[0]
-        for k, ((x, _, _), num) in enumerate(zip(WORKED_EXAMPLES, (200, 2000, 2000)))
+        draw_conditional_batch(law, num, RngStream(seed, k))[0]
+        for k, (law, num) in enumerate(zip(laws, (200, 2000, 2000)))
     )
     patterns = (
         np.all(Z_i == np.array([1.0, 2.0, 3.0]))
@@ -394,13 +399,13 @@ def check_exact_draws(gen: np.random.Generator, seed: int, trials: int) -> dict:
         n = int(gen.integers(1, 9))
         p = int(gen.integers(1, 13))
         model, x, Z_true = random_consistent_instance(gen, n, p)
-        z_hat = compute_upper_bounds(model, x)
+        law = conditional_law(model, x)
+        z_hat = law.z_hat
         if not (
             np.all(Z_true <= z_hat * (1.0 + 1e-12))
             and np.allclose((model.A * z_hat).max(axis=1), x, rtol=1e-12, atol=0.0)
         ):
             residuation_failures += 1
-        law = conditional_law(model, x)
         Z, _ = draw_conditional_batch(law, 1, RngStream(derived_seed(seed, t), 0))
         if (np.abs((model.A * Z[0]).max(axis=1) - x) / x).max() > 1e-9:
             draw_failures += 1

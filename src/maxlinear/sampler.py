@@ -136,24 +136,31 @@ def _truncated_matrix(
     return buf.T
 
 
-def _pick_atoms(law: ConditionalLaw, gen: np.random.Generator, num: int) -> np.ndarray:
-    """(num, rank) atom columns, one per class per draw, from one
-    (num, rank) uniform matrix: one search over the per-class cumulative
-    weights joined end to end, where class s spans (s, s + 1], its uniform
-    is shifted by s, and the pick is clamped into the class against
-    rounding."""
-    cols, starts = _joined(law.structure.J)
-    last = np.append(starts[1:], cols.size) - 1
+def _draw(law: ConditionalLaw, gen: np.random.Generator, num: int, upper, cols, groups):
+    """(Z, chosen): ``num`` draws of Z, whose column ``cols[j]`` is column j
+    of ``law``; ``upper`` bounds Z's columns and ``groups`` groups their
+    margins. ``chosen`` (num, rank) holds the atom of every class in every
+    draw, in the law's columns.
+
+    The atoms come from one (num, rank) uniform matrix: one search over the
+    per-class cumulative weights joined end to end, where class s spans
+    (s, s + 1], its uniform is shifted by s, and the pick is clamped into
+    the class against rounding. Then one :func:`_truncated_matrix` call
+    draws every column below its bound, and the atoms overwrite their
+    columns with zhat. A class's only candidate is at zhat in every draw,
+    so it is drawn below +inf: it needs no mass below zhat, and it takes
+    its uniforms from the stream like every other column."""
+    cand, starts = _joined(law.structure.J)
+    last = np.append(starts[1:], cand.size) - 1
     cum = np.cumsum(np.concatenate(law.weights))
     u = gen.random((num, law.rank)) + np.arange(law.rank)
-    return cols[np.clip(np.searchsorted(cum, u, side="right"), starts, last)]
-
-
-def _sole_atoms(law: ConditionalLaw) -> np.ndarray:
-    """The columns that are their class's only candidate atom. Each is at
-    zhat in every draw, so its truncated draw is overwritten: drawn below
-    +inf, it needs no mass below zhat, and it uses the stream as before."""
-    return np.array([J[0] for J in law.structure.J if J.size == 1], dtype=np.intp)
+    chosen = cand[np.clip(np.searchsorted(cum, u, side="right"), starts, last)]
+    bounds = upper.copy()
+    sole = np.array([J[0] for J in law.structure.J if J.size == 1], dtype=np.intp)
+    bounds[cols[sole]] = np.inf
+    Z = _truncated_matrix(groups, bounds, gen, num)
+    Z[np.arange(num)[:, None], cols[chosen]] = law.z_hat[chosen]
+    return Z, chosen
 
 
 def draw_conditional_batch(
@@ -162,11 +169,10 @@ def draw_conditional_batch(
     """Draw ``num`` independent samples at once.
 
     The classes are independent and their J_bar sets partition the
-    columns, so a batch takes two uniform matrices. The first picks the
-    atom of every class in every draw (:func:`_pick_atoms`). The second
-    draws every column below its bound (a class's only candidate below
-    +inf, see :func:`_sole_atoms`); the picked atoms then overwrite their
-    columns with zhat.
+    columns, so a batch takes two uniform matrices: one picks the atom of
+    every class in every draw, the other draws every column below its
+    bound, and the atoms then overwrite their columns with zhat
+    (:func:`_draw`).
 
     Returns (Z, chosen) with shapes (num, p) and (num, rank); Z is
     column-major (``Z.T`` is C-contiguous), one contiguous column per
@@ -175,14 +181,9 @@ def draw_conditional_batch(
     DimensionOverflowError, raised before anything is allocated.
     """
     num = _integer("num", num, 1)
-    _check_design_size(num, law.z_hat.size, f"num={num}: Z")
-    gen = _as_generator(rng)
-    chosen = _pick_atoms(law, gen, num)
-    bounds = law.z_hat.copy()
-    bounds[_sole_atoms(law)] = np.inf
-    Z = _truncated_matrix(law.groups, bounds, gen, num)
-    Z[np.arange(num)[:, None], chosen] = law.z_hat[chosen]
-    return Z, chosen
+    p = law.z_hat.size
+    _check_design_size(num, p, f"num={num}: Z")
+    return _draw(law, _as_generator(rng), num, law.z_hat, np.arange(p), law.groups)
 
 
 # --- prediction jobs ------------------------------------------------------
@@ -272,18 +273,13 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
     # an error about a column of the model names that column in A
     with _columns_of(cond):
         law = conditional_law(model, task.x, task.rel_tol)
-    # one generator and one buffer for every column: a free factor is its
-    # margin truncated below +inf, i.e. untruncated
-    gen = RngStream(seed, 0).generator()
-    chosen = cond[_pick_atoms(law, gen, num)]
     upper = np.full(A.shape[1], np.inf)
     upper[cond] = law.z_hat
-    bounds = upper.copy()
-    bounds[cond[_sole_atoms(law)]] = np.inf
     # with every column observed, the law's grouping is that of task.margins
     groups = margin_groups(task.margins) if free.size else law.groups
-    Z = _truncated_matrix(groups, bounds, gen, num)
-    Z[np.arange(num)[:, None], chosen] = upper[chosen]
+    # one generator and one buffer for every column: a free factor is its
+    # margin truncated below +inf, i.e. untruncated
+    Z, _ = _draw(law, RngStream(seed, 0).generator(), num, upper, cond, groups)
     Y = max_linear_apply_batch(B, Z, upper=upper, floor=row_floors(law, B_cond))
     # Y >= 0, so a row of B overflowed iff its column's maximum is inf
     over = np.flatnonzero(np.isinf(Y.max(axis=0)))

@@ -86,11 +86,24 @@ def test_summarize_means_do_not_overflow():
     # the column sum passed the float64 range: an overflow warning and inf
     table = summarize(np.full((20, 1), 1e308))
     assert table.means.tolist() == [1e308]
-    # scaling by a power of two leaves ordinary means bit-identical
+    # scaling by a power of two leaves ordinary means bit-identical to the
+    # unscaled means of contiguous columns
     gen = RngStream(5).generator()
     for scale in (1.0, -3.0, 1e-300, 1e300):
         samples = gen.standard_normal((333, 3)) * scale
-        assert np.array_equal(summarize(samples).means, samples.mean(axis=0))
+        assert np.array_equal(summarize(samples).means, np.ascontiguousarray(samples.T).mean(axis=1))
+
+
+def test_summarize_means_do_not_depend_on_the_memory_layout():
+    # numpy sums a column-major matrix (run_prediction's Y) pairwise down
+    # each column but a C-ordered one row by row, so the means of one
+    # sample differed with its layout; both now take the pairwise sums
+    gen = RngStream(8).generator()
+    Y = np.asfortranarray(1.0 / -np.log(gen.random((500, 9))))
+    want = np.ascontiguousarray(Y.T).mean(axis=1)
+    assert np.array_equal(Y.mean(axis=0), want)  # the means of the column-major Y
+    for samples in (Y, np.ascontiguousarray(Y)):
+        assert np.array_equal(summarize(samples).means, want)
 
 
 def test_write_sample_csv(tmp_path):

@@ -22,7 +22,7 @@ from maxlinear import (
     validate_model,
 )
 from maxlinear.experiments import _bench_design
-from maxlinear.hitting import _decompose_checked, compute_upper_bounds
+from maxlinear.hitting import _decompose_checked
 from maxlinear.model import BLOCK_ELEMENTS, _check_model_matrix, validate_observations
 from maxlinear.sampler import PredictionTask, run_prediction
 
@@ -40,17 +40,17 @@ def small_model(A):
 
 def test_upper_bounds_triangular():
     assert np.array_equal(
-        compute_upper_bounds(model3(), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0]
+        hitting_structure(model3(), [1.0, 2.0, 3.0]).z_hat, [1.0, 2.0, 3.0]
     )
 
 
 def test_upper_bounds_single_entry():
-    assert compute_upper_bounds(small_model([[4.0]]), [2.0]) == pytest.approx([0.5])
+    assert hitting_structure(small_model([[4.0]]), [2.0]).z_hat == pytest.approx([0.5])
 
 
 def test_upper_bounds_hand_example():
     m = small_model([[2.0, 1.0], [1.0, 3.0]])
-    z_hat = compute_upper_bounds(m, [4.0, 6.0])
+    z_hat = hitting_structure(m, [4.0, 6.0]).z_hat
     assert np.allclose(z_hat, [2.0, 2.0])
     assert np.allclose((m.A * z_hat).max(axis=1), [4.0, 6.0])
 
@@ -60,7 +60,7 @@ def test_upper_bound_overflow_is_an_explicit_error():
     # edge, not an x outside the model range
     m = small_model([[1e-300, 0.0], [0.0, 1.0]])
     x = [1e10, 1.0]
-    for stage in (compute_upper_bounds, hitting_structure, conditional_law):
+    for stage in (hitting_structure, conditional_law):
         with pytest.raises(NumericalOverflowError, match="column 0 overflows float64"):
             stage(m, x)
 
@@ -323,7 +323,7 @@ def _random_instance(seed):
 def test_residuation_property(seed):
     model, z = _random_instance(seed)
     x = (model.A * z).max(axis=1)
-    z_hat = compute_upper_bounds(model, x)
+    z_hat = hitting_structure(model, x).z_hat
     assert np.all(z <= z_hat * (1 + 1e-12))
     assert np.allclose((model.A * z_hat).max(axis=1), x, rtol=1e-12)
 
@@ -515,27 +515,14 @@ def test_blocked_pass_matches_the_whole_matrix_formulas(
     assert _same(_outcome(lambda: hitting_structure(model, x, rel_tol)), want), want
     checks = _outcome(lambda: _reference_checks(A))
     assert _same(_outcome(lambda: validate_model(A, margins).A), checks)
-    if isinstance(checks, np.ndarray):
-        # the bounds alone, on a checked A
-        bounds = _outcome(lambda: _reference_bounds(A, x)[1])
-        assert _same(_outcome(lambda: compute_upper_bounds(model, x)), bounds)
-
-
-def _stages(model, x):
-    """The two public stages that run the pass, called on ``model``."""
-    return (
-        lambda: hitting_structure(model, x),
-        lambda: compute_upper_bounds(model, x),
-    )
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
 def test_the_pass_reports_an_empty_A_before_a_bad_x(shape):
     model = MaxLinearModel(A=np.ones(shape), margins=())
     for x in (np.ones(shape[0]), [np.nan]):
-        for stage in _stages(model, x):
-            with pytest.raises(DimensionMismatchError, match="no rows or no columns"):
-                stage()
+        with pytest.raises(DimensionMismatchError, match="no rows or no columns"):
+            hitting_structure(model, x)
 
 
 @pytest.mark.parametrize("A", [np.ones(3), np.ones((1, 1, 1)), [["a"]]])
@@ -543,16 +530,14 @@ def test_the_pass_rejects_an_unchecked_A_as_validate_model_does(A):
     # a 1-d A raised "not enough values to unpack", a 3-d one "too many"
     want = _outcome(lambda: validate_model(A, ()))
     assert want[0] in (DimensionMismatchError, ValueError)
-    for stage in _stages(MaxLinearModel(A=A, margins=()), [1.0]):
-        assert _outcome(stage) == want
+    assert _outcome(lambda: hitting_structure(MaxLinearModel(A=A, margins=()), [1.0])) == want
 
 
 def test_the_pass_takes_the_list_A_that_validate_model_takes():
     # it raised "'list' object has no attribute 'shape'"
     A, margins = [[1.0, 0.5]], (standard_frechet(1.0),) * 2
-    unchecked = _stages(MaxLinearModel(A=A, margins=margins), [1.0])
-    for got, want in zip(unchecked, _stages(validate_model(A, margins), [1.0])):
-        assert _same(got(), want())
+    unchecked = hitting_structure(MaxLinearModel(A=A, margins=margins), [1.0])
+    assert _same(unchecked, hitting_structure(validate_model(A, margins), [1.0]))
 
 
 def test_a_bad_entry_is_checked_and_reported_once(monkeypatch):

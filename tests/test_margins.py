@@ -374,3 +374,10 @@ def test_loaded_model_margins_form_one_group(tmp_path, monkeypatch):
         del frechet_calls[:], tabulated_calls[:]
         assert np.array_equal(_columnwise((groups, label), "quantile", values), want)
         assert (len(frechet_calls), len(tabulated_calls)) == calls
+
+
+def test_margin_groups_of_no_margins():
+    # the one-kind shortcut read margins[0]: "tuple index out of range"
+    for margins in ((), []):
+        kinds, label = margin_groups(margins)
+        assert kinds == () and label.dtype == np.intp and label.shape == (0,)

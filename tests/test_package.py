@@ -63,14 +63,14 @@ def test_import_surface(tmp_path):
     # class_weights takes the pair margin_groups returns, so both are public
     assert doc["weights"] == [True, True]
     # the points with no attribute to wrap: the Frechet weight shortcut,
-    # whose span conditional.weights is covered by class_weights; the two
+    # whose span conditional.weights is covered by class_weights; the three
     # hitting stages that hitting_structure replaced, so the harness times
     # no stage; and validate_model, which run_prediction has not called
     # since the blocked pass checks A, so model.validate is the one span
     # with nothing to wrap. Every other span has an attribute to wrap
     assert doc["missing"] == [
         "conditional.frechet_class_weights", "hitting.compute_hitting_matrix",
-        "hitting.decompose", "sampler.validate_model",
+        "hitting.compute_upper_bounds", "hitting.decompose", "sampler.validate_model",
     ]
     assert doc["uncovered_spans"] == ["model.validate"]
 

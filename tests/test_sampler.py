@@ -23,6 +23,7 @@ from maxlinear import (
     ZeroRowError,
     conditional_law,
     draw_conditional_batch,
+    hitting_structure,
     marma_coefficients,
     marma_design,
     run_prediction,
@@ -31,7 +32,6 @@ from maxlinear import (
     validate_model,
 )
 from maxlinear.errors import AcceptanceTooRareError, DimensionOverflowError, _to_json
-from maxlinear.hitting import compute_upper_bounds
 from maxlinear.margins import _columnwise, margin_from_dict, margin_groups
 from maxlinear.marma import simulate_marma_window
 from maxlinear.model import live_entries, max_linear_apply_batch
@@ -532,7 +532,7 @@ def test_rejection_oracle_basics():
     acc = rejection_oracle(model, x, eps, 200, RngStream(21))
     assert acc.shape == (200, 3)
     # accepted coordinates never exceed the inflated upper bounds
-    z_cap = compute_upper_bounds(model, x * (1 + eps))
+    z_cap = hitting_structure(model, x * (1 + eps)).z_hat
     assert np.all(acc <= z_cap * (1 + 1e-12))
 
 
@@ -553,7 +553,7 @@ def test_rejection_oracle_accepts_what_the_unscreened_loop_accepts(n, p, epsilon
         model, x, _ = random_consistent_instance(RngStream(n).generator(), n, p)
     got = rejection_oracle(model, x, epsilon, 300, RngStream(7))
     box_mass = np.array([m.cdf(b) for m, b in zip(
-        model.margins, (1.0 + epsilon) * compute_upper_bounds(model, x))])
+        model.margins, (1.0 + epsilon) * hitting_structure(model, x).z_hat)])
     gen, accepted = RngStream(7).generator(), []
     while sum(map(len, accepted)) < 300:
         Z, ok = _exact_accepts(model, x, epsilon, gen.random((REJECTION_BATCH, model.p)), box_mass)
@@ -571,7 +571,7 @@ def test_rejection_oracle_accepts_what_the_unscreened_loop_accepts(n, p, epsilon
 def test_rejection_pre_filter_never_drops_an_accepted_proposal(seed, n, p, epsilon):
     gen = np.random.default_rng(seed)
     model, x, _ = random_consistent_instance(gen, n, p)
-    box = (1.0 + epsilon) * compute_upper_bounds(model, x)
+    box = (1.0 + epsilon) * hitting_structure(model, x).z_hat
     box_mass = np.array([m.cdf(b) for m, b in zip(model.margins, box)])
     # u_ij, the least uniform at which a_ij z_j reaches (1 - epsilon) x_i,
     # computed here without slack (inf where a_ij = 0)
@@ -830,6 +830,16 @@ def test_run_prediction_without_prediction_rows():
         assert np.array_equal(result.Z, Z)
         if x[1] == 2.0:
             assert np.all(result.Z == x)
+    # three margin kinds; classes with 1, 3 and 3 candidate atoms
+    model, x, _ = random_consistent_instance(RngStream(6).generator(), 4, 9)
+    kinds = (standard_frechet(1.0), Frechet(2.0, 0.5), _gamma2_margin())
+    margins = tuple(kinds[j % 3] for j in range(9))
+    law = conditional_law(validate_model(model.A, margins), x)
+    assert sorted(J.size for J in law.structure.J) == [1, 3, 3]
+    result = run_prediction(PredictionTask(
+        A=model.A, B=np.zeros((0, 9)), margins=margins, x=x, num_samples=50, seed=4,
+    ))
+    assert np.array_equal(result.Z, draw_conditional_batch(law, 50, RngStream(4, 0))[0])
 
 
 def test_run_prediction_checks_free_columns_and_the_shape_of_A():

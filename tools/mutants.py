@@ -89,14 +89,18 @@ MUTANTS = (
            ("tests/test_sampler.py::test_multi_class_pick_frequencies",)),
     # the truncated draw and its clamp
     Mutant("non-atoms drawn untruncated", SAMPLER,
-           "    bounds = law.z_hat.copy()\n", "    bounds = np.full(law.z_hat.shape, np.inf)\n",
+           "    bounds = upper.copy()\n", "    bounds = np.full(upper.shape, np.inf)\n",
            ("tests/test_sampler.py::test_draw_case_ii_pattern",)),
     Mutant("sole atoms drawn below zhat", SAMPLER,
-           "    bounds[_sole_atoms(law)] = np.inf\n", "",
+           "    bounds[cols[sole]] = np.inf\n", "",
            ("tests/test_sampler.py::test_a_sole_candidate_atom_needs_no_mass_below_its_bound",)),
     Mutant("sole atoms unmapped to A's columns", SAMPLER,
-           "    bounds[cond[_sole_atoms(law)]] = np.inf\n", "    bounds[_sole_atoms(law)] = np.inf\n",
+           "    bounds[cols[sole]] = np.inf\n", "    bounds[sole] = np.inf\n",
            ("tests/test_sampler.py::test_a_sole_candidate_atom_needs_no_mass_below_its_bound",)),
+    Mutant("atoms written at the law's column numbers", SAMPLER,
+           "cols[chosen]", "chosen",
+           ("tests/test_sampler.py::test_a_sole_candidate_atom_needs_no_mass_below_its_bound",
+            "tests/test_sampler.py::test_pruned_prediction_map_is_exact")),
     Mutant("every block reads the first block's labels", SAMPLER,
            '_columnwise((kinds, label[rows]), "_hazard_quantile"',
            '_columnwise((kinds, label[: block.shape[0]]), "_hazard_quantile"',
@@ -113,11 +117,11 @@ MUTANTS = (
     # the free draw: free columns that replay the first uniforms of the
     # stream, as a second generator of the same seed would
     Mutant("free columns replay the stream's start", SAMPLER,
-           "    Z = _truncated_matrix(groups, bounds, gen, num)\n",
-           "    Z = _truncated_matrix(groups, bounds, gen, num)\n"
+           "    Z, _ = _draw(law, RngStream(seed, 0).generator(), num, upper, cond, groups)\n",
+           "    Z, _ = _draw(law, RngStream(seed, 0).generator(), num, upper, cond, groups)\n"
            "    if free.size:\n"
            "        Z.T[free] = _truncated_matrix(margin_groups(tuple(task.margins[j] for j in free)), "
-           "bounds[free], RngStream(seed, 0).generator(), num).T\n",
+           "upper[free], RngStream(seed, 0).generator(), num).T\n",
            ("tests/test_sampler.py::test_free_factors_are_independent_of_the_conditioned_ones",)),
     # the row floors and the pruned map
     Mutant("row floor from the largest candidate", SAMPLER,
@@ -133,7 +137,8 @@ MUTANTS = (
            ("tests/test_sampler.py::test_an_overflowing_prediction_is_an_explicit_error",)),
     # summarize
     Mutant("summarize means unscaled", "maxlinear/experiments.py",
-           "means=np.ldexp(np.ldexp(samples, -e).mean(axis=0), e),", "means=samples.mean(axis=0),",
+           "means=np.ldexp(np.ascontiguousarray(np.ldexp(samples, -e).T).mean(axis=1), e),",
+           "means=np.ascontiguousarray(samples.T).mean(axis=1),",
            ("tests/test_experiments.py::test_summarize_means_do_not_overflow",)),
     # a CLI error path
     Mutant("CLI lets a ValueError through", "maxlinear/cli.py",
