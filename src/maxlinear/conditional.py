@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InconsistentObservationError, _at_column
 from .hitting import DEFAULT_REL_TOL, HittingStructure, hitting_structure
-from .margins import MarginSpec, _columnwise, margin_groups
+from .margins import _columnwise, margin_groups
 from .model import MaxLinearModel
 
 
@@ -91,11 +91,14 @@ def class_weights(structure: HittingStructure, groups) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ConditionalLaw:
-    """Sampleable representation of the conditional law of Z given X = x."""
+    """Sampleable representation of the conditional law of Z given X = x.
+
+    ``groups = (kinds, label) = margin_groups(margins)`` is its one record
+    of the margins, read by the weights and the draw: the margin of column
+    j is ``kinds[label[j]]``."""
 
     structure: HittingStructure
-    margins: tuple[MarginSpec, ...]
-    groups: tuple  # margin_groups(margins), grouped once for the weights and the draw
+    groups: tuple
     weights: tuple[np.ndarray, ...]
 
     @property
@@ -114,6 +117,4 @@ def conditional_law(
     structure = hitting_structure(model, x, rel_tol)
     groups = margin_groups(model.margins)
     weights = class_weights(structure, groups)
-    return ConditionalLaw(
-        structure=structure, margins=model.margins, groups=groups, weights=tuple(weights)
-    )
+    return ConditionalLaw(structure=structure, groups=groups, weights=tuple(weights))

@@ -225,4 +225,5 @@ def _check_design_size(rows: int, cols: int, what: str = "design") -> None:
 
 
 class AssumptionAViolationError(MaxLinearError):
-    """Design matrix lost a fully positive row or column after flooring."""
+    """Flooring left a row of a design's ``A`` with no positive entry: an
+    observed site that no kept cell covers."""

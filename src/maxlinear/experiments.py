@@ -62,8 +62,10 @@ class SummaryTable:
 
 
 def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> SummaryTable:
-    """Order-statistic summaries of a (num x m) sample matrix; a NaN
-    ``threshold`` is a ValueError."""
+    """Order-statistic summaries of ``samples``, the samples on axis 0 and
+    any number of further axes (none for a 1-d sample of one quantity);
+    every summary has the shape ``samples.shape[1:]``. A NaN ``threshold``
+    is a ValueError."""
     samples = np.asarray(samples, dtype=float)
     levels = tuple(sorted(float(v) for v in levels))
     if any(not 0.0 < v < 1.0 for v in levels):
@@ -81,12 +83,13 @@ def summarize(samples: np.ndarray, levels=(0.5, 0.95), threshold=None) -> Summar
         exceed = (samples > thr).mean(axis=0)
     # each column scaled by a power of two into (-1, 1) for its mean, so a
     # sum past the float64 range stays finite; exact unless a value underflows.
-    # Summed as contiguous rows of the transpose, so the means do not depend
-    # on the memory layout of samples
+    # Summed with the samples moved to a contiguous last axis, so the means
+    # do not depend on the memory layout of samples
     _, e = np.frexp(np.maximum(-srt[0], srt[-1]))
+    scaled = np.ascontiguousarray(np.moveaxis(np.ldexp(samples, -e), 0, -1))
     return SummaryTable(
         medians=order_statistic_quantile(srt, 0.5),
-        means=np.ldexp(np.ascontiguousarray(np.ldexp(samples, -e).T).mean(axis=1), e),
+        means=np.ldexp(scaled.mean(axis=-1), e),
         quantiles=quantiles,
         exceedance=exceed,
     )

@@ -241,12 +241,18 @@ class TabulatedContinuous(MarginSpec):
 def margin_groups(margins: Sequence[MarginSpec]) -> tuple[tuple, np.ndarray]:
     """``(kinds, label)``: the distinct margins, and for each column the index
     of its margin in ``kinds``; equal margins are one kind. The one grouping
-    rule: callers pass the pair, or ``(kinds, label[cols])``, to _columnwise."""
+    rule: callers pass the pair, or ``(kinds, label[cols])``, to _columnwise.
+    A kind that is not a MarginSpec is a TypeError naming its type."""
     if margins and margins.count(margins[0]) == len(margins):
-        return (margins[0],), np.zeros(len(margins), dtype=np.intp)
-    kinds: dict[MarginSpec, int] = {}
-    label = [kinds.setdefault(m, len(kinds)) for m in margins]
-    return tuple(kinds), np.array(label, dtype=np.intp)
+        kinds, label = (margins[0],), np.zeros(len(margins), dtype=np.intp)
+    else:
+        index: dict[MarginSpec, int] = {}
+        label = np.array([index.setdefault(m, len(index)) for m in margins], dtype=np.intp)
+        kinds = tuple(index)
+    for m in kinds:  # the distinct kinds only, not every column
+        if not isinstance(m, MarginSpec):
+            raise TypeError(f"a margin must be a MarginSpec, got {type(m).__name__}")
+    return kinds, label
 
 
 def _columnwise(groups, method: str, values, out=None) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import (
     _json_field,
     _to_json,
 )
-from .margins import MarginSpec, _readonly, margin_from_dict
+from .margins import MarginSpec, _readonly, margin_from_dict, margin_groups
 
 
 # entries of a sample matrix handled at a time by a blocked loop (256 KiB)
@@ -40,8 +40,8 @@ class MaxLinearModel:
     """Max-linear model: n x p coefficient matrix plus p margins.
 
     The constructor checks nothing and keeps ``A`` as given.
-    :func:`validate_model` checks ``A`` and the margin count and builds
-    the model on a read-only copy of ``A``, so that model is immutable
+    :func:`validate_model` checks ``A`` and the margins and builds the
+    model on a read-only copy of ``A``, so that model is immutable
     and safe to share across threads. ``run_prediction`` builds its model
     unchecked from the caller's array (or its conditioned columns), and
     :func:`~maxlinear.hitting.hitting_structure` checks that ``A`` as
@@ -118,6 +118,14 @@ def _check_model_matrix(A) -> np.ndarray:
     return A
 
 
+def _margins_for(margins, p: int) -> tuple[MarginSpec, ...]:
+    """``margins`` as a tuple, checked to hold one margin per column of A."""
+    margins = tuple(margins)
+    if len(margins) != p:
+        raise MarginCountMismatchError(f"expected {p} margins, got {len(margins)}")
+    return margins
+
+
 def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
     """Check structural assumptions and return an immutable model that
     owns a read-only copy of ``A``.
@@ -134,13 +142,12 @@ def validate_model(A, margins: Sequence[MarginSpec]) -> MaxLinearModel:
         if a row or column of ``A`` has no strictly positive entry.
     MarginCountMismatchError
         if ``margins`` does not have one entry per column.
+    TypeError
+        if a margin is not a :class:`MarginSpec`; the message names its type.
     """
     A = _check_model_matrix(A)
-    margins = tuple(margins)
-    if len(margins) != A.shape[1]:
-        raise MarginCountMismatchError(
-            f"expected {A.shape[1]} margins, got {len(margins)}"
-        )
+    margins = _margins_for(margins, A.shape[1])
+    margin_groups(margins)  # a margin that is not a MarginSpec is a TypeError
     return MaxLinearModel(A=_readonly(A), margins=margins)
 
 

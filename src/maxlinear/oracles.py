@@ -31,7 +31,7 @@ from .errors import (
     _real,
 )
 from .experiments import derived_seed
-from .hitting import DEFAULT_REL_TOL, hitting_structure
+from .hitting import HittingStructure, hitting_structure
 from .margins import MarginSpec, _columnwise, margin_groups, standard_frechet
 from .model import (
     MaxLinearModel,
@@ -153,16 +153,16 @@ def scenario_probabilities(
     return ScenarioLaw(tuple(scenarios), np.exp(log_w - total))
 
 
-def factorization_gap(model: MaxLinearModel, x, rel_tol=DEFAULT_REL_TOL) -> float:
+def factorization_gap(structure: HittingStructure, margins) -> float:
     """Relative error between the enumerated total scenario weight and
-    the per-class product form (they are equal in exact arithmetic): per
-    class s, the sum of the ``class_weights`` terms over J[s] times the
-    product of F_k(zhat_k) over J_bar[s], a factor that normalization
-    cancels and only this check needs."""
-    structure = hitting_structure(model, x, rel_tol)
+    the per-class product form (they are equal in exact arithmetic), for
+    the hitting ``structure`` of an observation and the model's
+    ``margins``: per class s, the sum of the ``class_weights`` terms over
+    J[s] times the product of F_k(zhat_k) over J_bar[s], a factor that
+    normalization cancels and only this check needs."""
     scenarios = enumerate_relevant_scenarios(structure.H)
-    log_total = _logsumexp(scenario_log_weights(scenarios, model.margins, structure.z_hat))
-    groups = margin_groups(model.margins)
+    log_total = _logsumexp(scenario_log_weights(scenarios, margins, structure.z_hat))
+    groups = margin_groups(margins)
     terms, starts = _log_candidate_terms(structure, groups)
     log_cdf = _columnwise(groups, "log_cdf", structure.z_hat)
     log_prod = sum(
@@ -381,7 +381,7 @@ def check_product_form(gen: np.random.Generator, trials: int) -> dict:
         structure = hitting_structure(model, x)
         if set(enumerate_relevant_scenarios(structure.H)) != product_form_scenarios(structure):
             mismatches += 1
-        worst_gap = max(worst_gap, factorization_gap(model, x))
+        worst_gap = max(worst_gap, factorization_gap(structure, model.margins))
     return {"mismatches": mismatches, "worst_gap": worst_gap}
 
 

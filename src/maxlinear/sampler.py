@@ -17,10 +17,8 @@ import numpy as np
 from .conditional import ConditionalLaw, _joined, conditional_law
 from .errors import (
     DimensionMismatchError,
-    MarginCountMismatchError,
     NumericalOverflowError,
     ZeroMassBelowBoundError,
-    _at_column,
     _check_design_size,
     _columns_of,
     _integer,
@@ -31,6 +29,7 @@ from .model import (
     MaxLinearModel,
     _block_width,
     _check_model_matrix,
+    _margins_for,
     _matrix,
     check_coefficients,
     max_linear_apply_batch,
@@ -104,10 +103,8 @@ def _truncated_matrix(
     log_f = _columnwise(groups, "log_cdf", bounds)
     empty = np.flatnonzero(log_f == -np.inf)
     if empty.size:
-        raise _at_column(
-            ZeroMassBelowBoundError,
-            f"no mass below bound {bounds[empty[0]]} of column {{column}}: its log-CDF is -inf",
-            empty[0],
+        raise ZeroMassBelowBoundError(
+            f"no mass below bound {bounds[empty[0]]} of column {empty[0]}: its log-CDF is -inf"
         )
     hazard = -log_f[:, None]
     below = np.nextafter(bounds, 0.0)[:, None]
@@ -128,9 +125,7 @@ def _truncated_matrix(
         low = block.min()
         if np.isnan(low):  # the clamps pass NaN through
             j = start + np.flatnonzero(np.isnan(block).any(axis=1))[0]
-            raise _at_column(
-                ZeroMassBelowBoundError, f"quantile of column {{column}} is NaN below {bounds[j]}", j
-            )
+            raise ZeroMassBelowBoundError(f"quantile of column {j} is NaN below {bounds[j]}")
         if low < tiny:
             np.maximum(block, tiny, out=block)
     return buf.T
@@ -253,10 +248,7 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
             f"A and B must share the column space: {A.shape} vs {B.shape}"
         )
     _check_design_size(num, max(A.shape[1], B.shape[0]), f"num_samples={num}: Z or Y")
-    if len(task.margins) != A.shape[1]:
-        raise MarginCountMismatchError(
-            f"expected {A.shape[1]} margins, got {len(task.margins)}"
-        )
+    margins = _margins_for(task.margins, A.shape[1])
     observed = (A > 0).any(axis=0)
     cond = np.flatnonzero(observed)
     free = np.flatnonzero(~observed)
@@ -266,17 +258,17 @@ def run_prediction(task: PredictionTask) -> PredictionResult:
         check_coefficients(A, "A")  # the free columns too, numbered as in A
         if not cond.size:  # every row is zero: validate_model's error for A
             _check_model_matrix(A)
-        model = MaxLinearModel(A=A[:, cond], margins=tuple(task.margins[j] for j in cond))
+        model = MaxLinearModel(A=A[:, cond], margins=tuple(margins[j] for j in cond))
         B_cond = B[:, cond]
     else:  # every column observed: no sub-block copies
-        model, B_cond = MaxLinearModel(A=A, margins=tuple(task.margins)), B
+        model, B_cond = MaxLinearModel(A=A, margins=margins), B
     # an error about a column of the model names that column in A
     with _columns_of(cond):
         law = conditional_law(model, task.x, task.rel_tol)
     upper = np.full(A.shape[1], np.inf)
     upper[cond] = law.z_hat
-    # with every column observed, the law's grouping is that of task.margins
-    groups = margin_groups(task.margins) if free.size else law.groups
+    # with every column observed, the law's grouping is that of the margins
+    groups = margin_groups(margins) if free.size else law.groups
     # one generator and one buffer for every column: a free factor is its
     # margin truncated below +inf, i.e. untruncated
     Z, _ = _draw(law, RngStream(seed, 0).generator(), num, upper, cond, groups)

@@ -131,7 +131,10 @@ def smith_design(
     entry (across both matrices) are dropped; the index map of kept
     columns is retained. Flooring is an approximation knob: the dropped
     columns carry negligible spectral mass at the observation and
-    prediction sites.
+    prediction sites. A row of ``A`` left with no positive entry, an
+    observed site no kept cell covers, is an AssumptionAViolationError; a
+    kept column that only prediction sites reach is all zero in ``A``, a
+    free factor of ``run_prediction``.
     """
     if not spec.sites:
         raise ValueError("spec has no observed sites")
@@ -150,8 +153,6 @@ def smith_design(
     A, B = A_full[:, kept], B_full[:, kept]
     if kept.size == 0 or not (A > 0).any(axis=1).all():
         raise AssumptionAViolationError("flooring left an observed site uncovered")
-    if not (A > 0).any(axis=0).all():
-        raise AssumptionAViolationError("flooring left an all-zero kept column")
     return SmithDesign(A=A, B=B, kept=kept, spec=spec)
 
 

@@ -208,7 +208,7 @@ def test_factorization_identity_random():
     gen = np.random.default_rng(31)
     for _ in range(50):
         model, x, _ = random_consistent_instance(gen, 4, 7)
-        assert factorization_gap(model, x) <= 1e-10
+        assert factorization_gap(hitting_structure(model, x), model.margins) <= 1e-10
 
 
 MARGIN_POOLS = st.lists(

@@ -106,6 +106,22 @@ def test_summarize_means_do_not_depend_on_the_memory_layout():
         assert np.array_equal(summarize(samples).means, want)
 
 
+def test_summarize_takes_one_and_three_dimensional_samples():
+    # the samples lie on axis 0 with any number of further axes; a 1-d
+    # sample raised AxisError and a 3-d one a broadcast ValueError
+    table = summarize(np.arange(1.0, 6.0), threshold=2.5)
+    assert table.medians == 3.0 and table.means == 3.0 and table.exceedance == 0.6
+    assert table.means.shape == ()
+    gen = RngStream(9).generator()
+    samples = gen.standard_normal((41, 3, 2)) * 1e300
+    flat = summarize(samples.reshape(41, 6), threshold=0.0)
+    table = summarize(samples, threshold=0.0)
+    for got, want in ((table.medians, flat.medians), (table.means, flat.means),
+                      (table.exceedance, flat.exceedance), (table.quantiles[0.95], flat.quantiles[0.95])):
+        assert got.shape == (3, 2)
+        assert np.array_equal(got.reshape(6), want)
+
+
 def test_write_sample_csv(tmp_path):
     path = tmp_path / "samples.csv"
     Z = np.array([[1.0, 0.1 + 0.2], [5e-324, np.nextafter(3.0, 0.0)]])

@@ -936,13 +936,33 @@ def test_margin_count_mismatch_is_one_error_class():
     # validate_model and run_prediction raise the same class for this fault
     assert issubclass(MarginCountMismatchError, DimensionMismatchError)
     margins = (standard_frechet(1.0),)
-    with pytest.raises(MarginCountMismatchError):
+    with pytest.raises(MarginCountMismatchError, match="^expected 2 margins, got 1$"):
         validate_model(np.ones((1, 2)), margins)
-    with pytest.raises(MarginCountMismatchError):
+    with pytest.raises(MarginCountMismatchError, match="^expected 2 margins, got 1$"):
         run_prediction(PredictionTask(
             A=np.ones((1, 2)), B=np.ones((1, 2)), margins=margins,
             x=np.array([1.0]), num_samples=1, seed=0,
         ))
+
+
+def test_a_margin_that_is_not_a_margin_spec_is_a_type_error():
+    # these escaped run_prediction as AttributeError: ... 'lower_end', and
+    # validate_model accepted them
+    unit = standard_frechet(1.0)
+    A = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.0]])
+    for bad, margins in (
+        (1.0, [1.0] * 3), (None, [None] * 3), ("frechet", ["frechet"] * 3),
+        (None, [unit, None, unit]),  # one bad kind among good ones
+        ("frechet", [unit, unit, "frechet"]),  # on the free column only
+    ):
+        name = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^a margin must be a MarginSpec, got {name}$"):
+            validate_model(np.ones((2, 3)), margins)
+        with pytest.raises(TypeError, match=f"^a margin must be a MarginSpec, got {name}$"):
+            run_prediction(PredictionTask(
+                A=A, B=np.ones((1, 3)), margins=margins, x=np.array([1.0, 1.0]),
+                num_samples=2, seed=0,
+            ))
 
 
 def test_bad_B_entries_are_named_by_column():

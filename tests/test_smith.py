@@ -4,10 +4,13 @@ import pytest
 from maxlinear import (
     AssumptionAViolationError,
     DimensionOverflowError,
+    PredictionTask,
     SmithSpec,
     load_smith_spec,
+    run_prediction,
     save_smith_spec,
     smith_design,
+    standard_frechet,
 )
 from maxlinear.smith import cell_centers, smith_kernel
 
@@ -118,6 +121,26 @@ def test_flooring_too_aggressive_raises():
     for bad in (float("nan"), -1.0, "0.1", None):
         with pytest.raises(ValueError, match="floor_ratio"):
             smith_design(spec, floor_ratio=bad)
+
+
+def test_a_cell_only_the_grid_reaches_is_a_free_column():
+    # the narrow kernel keeps the cells around (3, 3) for the grid, and the
+    # site at the origin gives them exact zeros in A; smith_design refused
+    # such a design ("flooring left an all-zero kept column")
+    spec = SmithSpec(
+        beta1=20.0, beta2=20.0, q=10, sites=((0.0, 0.0),), grid=((3.0, 3.0), (0.0, 0.0))
+    )
+    design = smith_design(spec)
+    free = np.flatnonzero(~(design.A > 0).any(axis=0))
+    assert free.size and (design.B[0, free] > 0).all()
+    margins = (standard_frechet(1.0),) * design.A.shape[1]
+    result = run_prediction(PredictionTask(
+        A=design.A, B=design.B, margins=margins, x=np.array([2.0]), num_samples=200, seed=3,
+    ))
+    assert np.array_equal(result.free_columns, free)
+    assert (result.Y[:, 1] == 2.0).all()  # the grid's second site is the observed one
+    assert (result.Z[:, free] > 0).all() and np.isfinite(result.Z[:, free]).all()
+    assert len(np.unique(result.Y[:, 0])) > 100  # the free cells decide the first
 
 
 def test_design_requires_sites():

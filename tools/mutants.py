@@ -137,9 +137,19 @@ MUTANTS = (
            ("tests/test_sampler.py::test_an_overflowing_prediction_is_an_explicit_error",)),
     # summarize
     Mutant("summarize means unscaled", "maxlinear/experiments.py",
-           "means=np.ldexp(np.ascontiguousarray(np.ldexp(samples, -e).T).mean(axis=1), e),",
-           "means=np.ascontiguousarray(samples.T).mean(axis=1),",
+           "means=np.ldexp(scaled.mean(axis=-1), e),",
+           "means=np.ascontiguousarray(np.moveaxis(samples, 0, -1)).mean(axis=-1),",
            ("tests/test_experiments.py::test_summarize_means_do_not_overflow",)),
+    # the margins' type and the Smith design's free columns
+    Mutant("margins of any type", "maxlinear/margins.py",
+           "        if not isinstance(m, MarginSpec):\n", "        if False:\n",
+           ("tests/test_sampler.py::test_a_margin_that_is_not_a_margin_spec_is_a_type_error",)),
+    Mutant("Smith refuses a column only B reaches", "maxlinear/smith.py",
+           "    return SmithDesign(A=A, B=B, kept=kept, spec=spec)\n",
+           "    if not (A > 0).any(axis=0).all():\n"
+           "        raise AssumptionAViolationError(\"flooring left an all-zero kept column\")\n"
+           "    return SmithDesign(A=A, B=B, kept=kept, spec=spec)\n",
+           ("tests/test_smith.py::test_a_cell_only_the_grid_reaches_is_a_free_column",)),
     # a CLI error path
     Mutant("CLI lets a ValueError through", "maxlinear/cli.py",
            "    except (MaxLinearError, ValueError, OSError) as exc:",
